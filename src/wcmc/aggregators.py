@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import fold_matrix
 from .matops import _require_symmetric, positive_part, symmetrize
 
 # Relative ridge added to an estimated covariance before inversion when it is
@@ -45,9 +46,6 @@ class WeightSet:
         if not np.all(np.isfinite(m)):
             raise ValueError("weights must be finite")
         object.__setattr__(self, "matrices", m)
-
-    def copy(self) -> "WeightSet":
-        return WeightSet(self.mode, self.matrices.copy())
 
 
 def apply_weights(weights: WeightSet, ys: np.ndarray) -> np.ndarray:
@@ -86,14 +84,15 @@ def _ridged(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _inv(a: np.ndarray) -> np.ndarray:
-    out = np.linalg.inv(_ridged(a))
-    return symmetrize(out)
+def gaussian_product(covs) -> tuple[np.ndarray, np.ndarray]:
+    """Product-of-Gaussians rule for zero-mean inputs with covariances C_k.
 
-
-def _precision_weighted_mean_map(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-worker precisions and their combined covariance (sum of inverses)^{-1}."""
-    precisions = np.stack([_inv(c) for c in covs])
+    Returns the precisions C_k^{-1}, shape (K, d, d), and the product's
+    covariance (sum_k C_k^{-1})^{-1}.  A numerically singular matrix (an
+    estimated covariance after the PSD projection can be one) gets the
+    relative ridge ``RIDGE_RTOL`` before it is inverted.
+    """
+    precisions = np.stack([symmetrize(np.linalg.inv(_ridged(c))) for c in covs])
     combined = symmetrize(np.linalg.inv(_ridged(precisions.sum(axis=0))))
     return precisions, combined
 
@@ -108,7 +107,7 @@ def gcmc_weights(decoded: np.ndarray) -> WeightSet:
     if decoded.ndim != 3 or decoded.shape[0] < 2:
         raise ValueError(f"expected (S >= 2, K, d) samples, got shape {decoded.shape}")
     covs = np.stack([empirical_covariance(decoded[:, k, :]) for k in range(decoded.shape[1])])
-    precisions, combined = _precision_weighted_mean_map(covs)
+    precisions, combined = gaussian_product(covs)
     return WeightSet("oma", np.einsum("de,kef->kdf", combined, precisions))
 
 
@@ -135,7 +134,7 @@ def wgcmc_oma_weights_exact(covs, p_scales, n0: float) -> np.ndarray:
     """
     covs = np.stack([_require_symmetric(c, "covariance") for c in covs])
     p_scales = np.asarray(p_scales, dtype=float)
-    precisions, combined = _precision_weighted_mean_map(covs)
+    _, combined = gaussian_product(covs)
     return np.stack(
         [combined @ _joint_inv_sqrt(c, p, n0) for c, p in zip(covs, p_scales)]
     )
@@ -156,17 +155,6 @@ def wgcmc_noma_weight_exact(cov0: np.ndarray, n_workers: int, min_p: float, n0: 
     return ((v * diag) @ v.T) / np.sqrt(n_workers)
 
 
-def _fold(ys: np.ndarray, reps: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Average repetition blocks of the trailing axis; returns (folded, map, 1/reps)."""
-    ys = np.asarray(ys, dtype=float)
-    m_r = ys.shape[-1]
-    if m_r % reps != 0:
-        raise ValueError(f"block length {m_r} is not a multiple of reps={reps}")
-    d = m_r // reps
-    fold = np.tile(np.eye(d), (1, reps)) / reps
-    return ys @ fold.T, fold, 1.0 / reps
-
-
 def wgcmc_oma(ys: np.ndarray, p_scales, n0: float, reps: int = 1) -> WeightSet:
     """Channel-aware OMA weights estimated from noisy received blocks.
 
@@ -182,19 +170,15 @@ def wgcmc_oma(ys: np.ndarray, p_scales, n0: float, reps: int = 1) -> WeightSet:
     p_scales = np.asarray(p_scales, dtype=float)
     if p_scales.shape != (ys.shape[1],):
         raise ValueError("need one power scale per worker")
-    folded, fold, _ = _fold(ys, reps)
+    fold = fold_matrix(ys.shape[-1] // reps, reps)
+    folded = ys @ fold.T
     n0_eff = n0 / reps
-    d = folded.shape[-1]
-    cov_hats = np.stack(
-        [
-            positive_part(empirical_covariance(folded[:, k, :]) - n0_eff * np.eye(d)) / p_scales[k]
-            for k in range(ys.shape[1])
-        ]
-    )
-    _, combined = _precision_weighted_mean_map(cov_hats)
-    reduced = np.stack(
-        [combined @ _joint_inv_sqrt(c, p, n0_eff) for c, p in zip(cov_hats, p_scales)]
-    )
+    d = fold.shape[0]
+    cov_hats = [
+        positive_part(empirical_covariance(folded[:, k, :]) - n0_eff * np.eye(d)) / p_scales[k]
+        for k in range(ys.shape[1])
+    ]
+    reduced = wgcmc_oma_weights_exact(cov_hats, p_scales, n0_eff)
     return WeightSet("oma", np.einsum("kde,em->kdm", reduced, fold))
 
 
@@ -208,9 +192,10 @@ def wgcmc_noma(ys: np.ndarray, n_workers: int, min_p: float, n0: float, reps: in
     ys = np.asarray(ys, dtype=float)
     if ys.ndim != 2 or ys.shape[0] < 2:
         raise ValueError(f"expected (S >= 2, m_r) blocks, got shape {ys.shape}")
-    folded, fold, _ = _fold(ys, reps)
+    fold = fold_matrix(ys.shape[-1] // reps, reps)
+    folded = ys @ fold.T
     n0_eff = n0 / reps
-    d = folded.shape[-1]
+    d = fold.shape[0]
     cov0_hat = positive_part(empirical_covariance(folded) - n0_eff * np.eye(d)) / (
         n_workers * min_p
     )

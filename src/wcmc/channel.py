@@ -77,6 +77,11 @@ class PowerConfig:
         return cls(p=p, n0=n0)
 
 
+def fold_matrix(dim: int, reps: int) -> np.ndarray:
+    """(dim, reps * dim) map averaging the ``reps`` repetition blocks of a received vector."""
+    return np.tile(np.eye(dim), (1, reps)) / reps
+
+
 @dataclass(frozen=True)
 class RepetitionEncoding:
     """Repetition encoder E = sqrt(scale) (1_reps (x) I_dim), an m_r x dim matrix."""
@@ -106,7 +111,7 @@ class RepetitionEncoding:
 
     def fold_matrix(self) -> np.ndarray:
         """(dim, m_r) map averaging the repetition blocks; leaves sqrt(scale) in place."""
-        return np.tile(np.eye(self.dim), (1, self.reps)) / self.reps
+        return fold_matrix(self.dim, self.reps)
 
     def decode_matrix(self) -> np.ndarray:
         """Pseudoinverse of the encoder, (dim, m_r); removes the power scale."""
@@ -173,15 +178,14 @@ def transmit_oma(
     Noise entries are i.i.d. N(0, n0), independent across workers and blocks.
     """
     thetas = np.asarray(thetas, dtype=float)
-    s, k, _ = thetas.shape
+    _, k, d = thetas.shape
     if len(encodings) != k:
         raise ValueError(f"{k} workers but {len(encodings)} encodings")
-    m_r = encodings[0].m_r
-    if any(e.m_r != m_r for e in encodings):
-        raise ValueError("all encodings must share the same output length")
-    ys = np.empty((s, k, m_r))
-    for j, enc in enumerate(encodings):
-        ys[:, j, :] = enc.encode(thetas[:, j, :])
+    reps = encodings[0].reps
+    if any((e.dim, e.reps) != (d, reps) for e in encodings):
+        raise ValueError(f"every encoding must map dim={d} with reps={reps}")
+    scales = np.sqrt([e.scale for e in encodings])
+    ys = scales[:, None] * np.tile(thetas, reps)
     return ys + np.sqrt(n0) * rng.standard_normal(ys.shape)
 
 

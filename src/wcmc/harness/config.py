@@ -6,24 +6,14 @@ immediately instead of silently falling back to defaults.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field
 
 from .data import DEFAULT_THETA_STAR
 
 SCENARIOS = ("gaussian-toy", "probit-synthetic", "probit-csv")
-SCHEME_NAMES = (
-    "gcmc",
-    "wgcmc-oma",
-    "wgcmc-noma",
-    "wvcmc-oma",
-    "wvcmc-noma",
-    "sgld",
-    "best-single",
-)
-OMA_SCHEMES = ("gcmc", "wgcmc-oma", "wvcmc-oma", "best-single")
-NOMA_SCHEMES = ("wgcmc-noma", "wvcmc-noma")
-
 
 class ConfigError(ValueError):
     pass
@@ -33,6 +23,21 @@ def _check_keys(section: dict, allowed, where: str) -> None:
     unknown = sorted(set(section) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown keys {unknown} in {where}; allowed: {sorted(allowed)}")
+
+
+def _check_fields(cls, section: dict, where: str) -> None:
+    """Reject keys that are not fields of ``cls`` and absent fields that have no default."""
+    fields = dataclasses.fields(cls)
+    _check_keys(section, [f.name for f in fields], where)
+    missing = [
+        f.name
+        for f in fields
+        if f.name not in section
+        and f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    ]
+    if missing:
+        raise ConfigError(f"{where} is missing required keys {missing}")
 
 
 @dataclass(frozen=True)
@@ -67,6 +72,30 @@ class SgldParams:
             raise ConfigError("alpha and beta must be positive")
         if not 0 <= self.burn_in < self.iterations:
             raise ConfigError("burn_in must be smaller than iterations")
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """How a scheme runs: its access mode ("oma", "noma", or None when it
+    uses no channel), its parameter class (None when it takes no
+    parameters) and the name of the ``runner._TrialRunner`` method that
+    runs it.  The method is named, not referenced, so that configs can be
+    parsed without importing the runner."""
+
+    mode: str | None
+    params: type | None
+    run: str
+
+
+SCHEMES = {
+    "gcmc": Scheme("oma", None, "run_gcmc"),
+    "wgcmc-oma": Scheme("oma", None, "run_wgcmc"),
+    "wgcmc-noma": Scheme("noma", None, "run_wgcmc"),
+    "wvcmc-oma": Scheme("oma", WvcmcParams, "run_wvcmc"),
+    "wvcmc-noma": Scheme("noma", WvcmcParams, "run_wvcmc"),
+    "sgld": Scheme(None, SgldParams, "run_sgld"),
+    "best-single": Scheme("oma", None, "run_best_single"),
+}
 
 
 @dataclass(frozen=True)
@@ -123,7 +152,7 @@ class ExperimentConfig:
     snr_db: float
     trials: int
     seed: int
-    schemes: dict = field(default_factory=dict)
+    schemes: dict
     dim: int = 5
     channel: str | None = None  # default: identity for the toy, iid-gaussian otherwise
     subposteriors: str = "heterogeneous"  # toy covariance family
@@ -148,9 +177,9 @@ class ExperimentConfig:
             raise ConfigError("prior_variance must be positive")
         if self.dim < 1:
             raise ConfigError("dim must be positive")
-        unknown = sorted(set(self.schemes) - set(SCHEME_NAMES))
+        unknown = sorted(set(self.schemes) - set(SCHEMES))
         if unknown:
-            raise ConfigError(f"unknown schemes {unknown}; allowed: {list(SCHEME_NAMES)}")
+            raise ConfigError(f"unknown schemes {unknown}; allowed: {list(SCHEMES)}")
         if not self.schemes:
             raise ConfigError("at least one scheme is required")
         if self.uses_oma and self.t_blocks < self.n_workers:
@@ -163,18 +192,24 @@ class ExperimentConfig:
         if self.channel is not None and self.channel not in ("identity", "iid-gaussian"):
             raise ConfigError(f"unknown channel kind {self.channel!r}")
         if self.scenario == "gaussian-toy":
-            for name in ("wvcmc-oma", "wvcmc-noma"):
-                params = self.schemes.get(name)
-                if params is not None and params.n_b is not None:
+            for name, params in self.schemes.items():
+                if not isinstance(params, WvcmcParams):
+                    continue
+                if params.n_b is not None:
                     raise ConfigError(f"{name}: the toy scenario has no data set to minibatch")
+                if SCHEMES[name].mode == "noma" and self.channel_kind != "identity":
+                    raise ConfigError(
+                        f"{name}: the toy scenario starts the NOMA weight at I/K, which needs "
+                        f"the identity channel, not {self.channel_kind!r}"
+                    )
 
     @property
     def uses_oma(self) -> bool:
-        return any(name in self.schemes for name in OMA_SCHEMES)
+        return any(SCHEMES[name].mode == "oma" for name in self.schemes)
 
     @property
     def uses_noma(self) -> bool:
-        return any(name in self.schemes for name in NOMA_SCHEMES)
+        return any(SCHEMES[name].mode == "noma" for name in self.schemes)
 
     @property
     def channel_kind(self) -> str:
@@ -192,80 +227,41 @@ class ExperimentConfig:
 
 
 def _parse_scheme(name: str, section: dict):
-    if name in ("gcmc", "best-single", "wgcmc-oma", "wgcmc-noma"):
+    if name not in SCHEMES:
+        raise ConfigError(f"unknown scheme {name!r}; allowed: {list(SCHEMES)}")
+    params = SCHEMES[name].params
+    if params is None:
         _check_keys(section, (), f"schemes.{name}")
         return None
-    if name in ("wvcmc-oma", "wvcmc-noma"):
-        _check_keys(section, ("eta", "t_m", "n_b", "eta_div_k"), f"schemes.{name}")
-        if "eta" not in section or "t_m" not in section:
-            raise ConfigError(f"schemes.{name} requires eta and t_m")
-        return WvcmcParams(**section)
-    if name == "sgld":
-        _check_keys(
-            section, ("alpha", "beta", "gamma", "n_b", "iterations", "burn_in"), "schemes.sgld"
-        )
-        return SgldParams(**section)
-    raise ConfigError(f"unknown scheme {name!r}; allowed: {list(SCHEME_NAMES)}")
+    _check_fields(params, section, f"schemes.{name}")
+    return params(**section)
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
-    """Validate a parsed JSON document into an ExperimentConfig."""
+    """Validate a parsed JSON document into an ExperimentConfig.
+
+    Keys are the fields of ``ExperimentConfig`` and of its section classes;
+    int and float fields are cast, and a null section takes its default.
+    """
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    allowed = (
-        "scenario",
-        "n_workers",
-        "t_blocks",
-        "snr_db",
-        "trials",
-        "seed",
-        "schemes",
-        "dim",
-        "channel",
-        "subposteriors",
-        "prior_variance",
-        "partition",
-        "data",
-        "csv",
-        "reference",
-        "gibbs_burn_in",
-        "output",
-    )
-    _check_keys(doc, allowed, "config")
-    for key in ("scenario", "n_workers", "t_blocks", "snr_db", "trials", "seed", "schemes"):
-        if key not in doc:
-            raise ConfigError(f"config is missing required key {key!r}")
-    schemes_doc = doc["schemes"]
-    if not isinstance(schemes_doc, dict):
+    _check_fields(ExperimentConfig, doc, "config")
+    if not isinstance(doc["schemes"], dict):
         raise ConfigError("schemes must be an object mapping scheme names to parameters")
-    schemes = {name: _parse_scheme(name, section or {}) for name, section in schemes_doc.items()}
-
-    def sub(key, cls, allowed_keys):
-        section = doc.get(key)
+    schemes = {name: _parse_scheme(name, section or {}) for name, section in doc["schemes"].items()}
+    values = {"schemes": schemes}
+    for key, hint in typing.get_type_hints(ExperimentConfig).items():
+        if key not in doc or key in values:
+            continue
+        # a section holds a config dataclass, or None in its place (csv)
+        classes = (hint, *typing.get_args(hint))
+        section = next((c for c in classes if dataclasses.is_dataclass(c)), None)
         if section is None:
-            return cls() if key != "csv" else None
-        _check_keys(section, allowed_keys, key)
-        return cls(**section)
-
-    return ExperimentConfig(
-        scenario=doc["scenario"],
-        n_workers=int(doc["n_workers"]),
-        t_blocks=int(doc["t_blocks"]),
-        snr_db=float(doc["snr_db"]),
-        trials=int(doc["trials"]),
-        seed=int(doc["seed"]),
-        schemes=schemes,
-        dim=int(doc.get("dim", 5)),
-        channel=doc.get("channel"),
-        subposteriors=doc.get("subposteriors", "heterogeneous"),
-        prior_variance=float(doc.get("prior_variance", 1.0)),
-        partition=sub("partition", PartitionParams, ("rule", "zeta")),
-        data=sub("data", DataParams, ("n", "theta_star", "n_test")),
-        csv=sub("csv", CsvParams, ("path", "label_column", "pca_dim", "n_test")),
-        reference=sub("reference", ReferenceParams, ("n_samples", "burn_in")),
-        gibbs_burn_in=int(doc.get("gibbs_burn_in", 100)),
-        output=doc.get("output"),
-    )
+            values[key] = hint(doc[key]) if hint in (int, float) else doc[key]
+        elif doc[key] is not None:
+            _check_fields(section, doc[key], key)
+            values[key] = section(**doc[key])
+    return ExperimentConfig(**values)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -279,7 +275,6 @@ def load_config(path: str) -> ExperimentConfig:
 
 def resolved_dict(config: ExperimentConfig) -> dict:
     """Plain-JSON view of a config, with all defaults filled in."""
-    import dataclasses
 
     def convert(value):
         if isinstance(value, dict):

@@ -8,8 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
+from ..aggregators import gaussian_product
 from ..matops import toeplitz_covariance
-from ..posteriors import GaussianSubposterior, gaussian_global_covariance
+from ..posteriors import GaussianSubposterior
 
 # Ground-truth probit coefficients used by the synthetic scenario.
 DEFAULT_THETA_STAR = (0.1103, -0.5832, 0.6417, 1.8279, 0.4968)
@@ -56,7 +57,7 @@ def gen_gaussian_scenario(
         raise ValueError(f"unknown subposterior mode {mode!r}")
     covs = [toeplitz_covariance((k - 1) / n_workers, dim) for k in range(1, n_workers + 1)]
     if mode == "homogeneous":
-        common = n_workers * gaussian_global_covariance(covs)
+        common = n_workers * gaussian_product(covs)[1]
         return [GaussianSubposterior(common) for _ in range(n_workers)]
     return [GaussianSubposterior(c) for c in covs]
 

@@ -23,7 +23,14 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .. import __version__
-from ..aggregators import WeightSet, apply_weights, gcmc_weights, wgcmc_noma, wgcmc_oma
+from ..aggregators import (
+    WeightSet,
+    apply_weights,
+    gaussian_product,
+    gcmc_weights,
+    wgcmc_noma,
+    wgcmc_oma,
+)
 from ..baselines import SgldSchedule, best_single_worker, sgld_run
 from ..channel import (
     ChannelModel,
@@ -37,7 +44,6 @@ from ..channel import (
 from ..metrics import ReferencePosterior, kl_ensemble, second_order_error
 from ..posteriors import (
     ProbitShard,
-    gaussian_global_covariance,
     gaussian_joint_grad_fn,
     gaussian_log_joint_fn,
     gibbs_probit_sampler,
@@ -45,8 +51,8 @@ from ..posteriors import (
     probit_joint_grad_fn,
     probit_log_joint_fn,
 )
-from ..wvcmc import init_weights, run_wvcmc
-from .config import ExperimentConfig, resolved_dict
+from ..wvcmc import run_wvcmc
+from .config import SCHEMES, ExperimentConfig, WvcmcParams, resolved_dict
 from .data import LabeledDataset, gen_gaussian_scenario, gen_probit_data, ingest_csv, partition
 
 RESULT_COLUMNS = (
@@ -115,7 +121,7 @@ class _TrialRunner:
         self.s_oma = config.s_oma if config.uses_oma else 0
         self.s_noma = config.s_noma if config.uses_noma else 0
         self.s_max = max(self.s_oma, self.s_noma)
-        self.needs_entropies = any(name.startswith("wvcmc") for name in config.schemes)
+        self.needs_entropies = any(isinstance(p, WvcmcParams) for p in config.schemes.values())
 
     # subclasses fill these in
     worker_samples: np.ndarray  # (s_max, K, d)
@@ -128,10 +134,9 @@ class _TrialRunner:
 
     def prepare_channels(self):
         cfg, k = self.config, self.config.n_workers
-        if self.s_max == 0:
-            self._decoded = None
-            self._gcmc_fit = None
-            return
+        self.ys = {}  # received blocks by access mode
+        self._decoded = None
+        self._oma_start = None
         if self.s_oma:
             thetas = self.worker_samples[: self.s_oma]
             scales = [
@@ -139,7 +144,7 @@ class _TrialRunner:
             ]
             self.oma_enc = oma_encodings(scales, self.dim, self.reps)
             self.oma_scales = np.asarray(scales)
-            self.ys_oma = transmit_oma(
+            self.ys["oma"] = transmit_oma(
                 thetas, self.oma_enc, self.n0, substream(cfg.seed, self.trial, "oma-noise")
             )
         if self.s_noma:
@@ -149,67 +154,64 @@ class _TrialRunner:
             ]
             self.noma_enc = noma_encoding(scales, self.dim, self.reps)
             self.noma_min_p = float(min(scales))
-            self.ys_noma = transmit_noma(
+            self.ys["noma"] = transmit_noma(
                 thetas, self.noma_enc, self.n0, substream(cfg.seed, self.trial, "noma-noise")
             )
-        self._decoded = None
-        self._gcmc_fit = None
 
     def decoded(self) -> np.ndarray:
         """Per-worker decoded signals E_k^+ y_k, shape (S, K, d)."""
         if self._decoded is None:
             out = np.empty((self.s_oma, self.config.n_workers, self.dim))
             for j, enc in enumerate(self.oma_enc):
-                out[:, j, :] = enc.decode(self.ys_oma[:, j, :])
+                out[:, j, :] = enc.decode(self.ys["oma"][:, j, :])
             self._decoded = out
         return self._decoded
 
-    def gcmc_fit(self) -> WeightSet:
-        if self._gcmc_fit is None:
-            self._gcmc_fit = gcmc_weights(self.decoded())
-        return self._gcmc_fit
+    def oma_start(self) -> WeightSet:
+        """The gcmc fit on decoded signals composed with the decoders: the
+        gcmc weights, and the point wvcmc-oma starts from."""
+        if self._oma_start is None:
+            square = gcmc_weights(self.decoded())
+            decoders = np.stack([e.decode_matrix() for e in self.oma_enc])
+            self._oma_start = WeightSet(
+                "oma", np.einsum("kde,kem->kdm", square.matrices, decoders)
+            )
+        return self._oma_start
+
+    def noma_start(self) -> WeightSet:
+        """E^+ / K, the NOMA weight wvcmc-noma starts from."""
+        return WeightSet("noma", np.linalg.pinv(self.noma_enc.matrix()) / self.config.n_workers)
 
     # ------------------------------------------------------------------
-    # scheme implementations
+    # scheme implementations, named by config.SCHEMES; each takes the
+    # scheme's access mode and parameters
     # ------------------------------------------------------------------
 
-    def run_scheme(self, name: str, params) -> SchemeOutput:
-        if name == "gcmc":
-            square = self.gcmc_fit()
-            full = init_weights("oma", self.config.scenario, self.oma_enc, self.config.n_workers, square)
-            return SchemeOutput(apply_weights(full, self.ys_oma))
-        if name == "wgcmc-oma":
-            ws = wgcmc_oma(self.ys_oma, self.oma_scales, self.n0, self.reps)
-            return SchemeOutput(apply_weights(ws, self.ys_oma))
-        if name == "wgcmc-noma":
-            ws = wgcmc_noma(
-                self.ys_noma, self.config.n_workers, self.noma_min_p, self.n0, self.reps
-            )
-            return SchemeOutput(apply_weights(ws, self.ys_noma))
-        if name == "wvcmc-oma":
-            return self._run_wvcmc("oma", params)
-        if name == "wvcmc-noma":
-            return self._run_wvcmc("noma", params)
-        if name == "sgld":
-            return self._run_sgld(params)
-        if name == "best-single":
-            metric = lambda s: second_order_error(s, self.reference.moment())
-            _, samples = best_single_worker(
-                np.swapaxes(self.decoded(), 0, 1), metric
-            )
-            return SchemeOutput(samples)
-        raise ValueError(f"unknown scheme {name!r}")
+    def run_gcmc(self, mode, params) -> SchemeOutput:
+        return SchemeOutput(apply_weights(self.oma_start(), self.ys[mode]))
 
-    def _run_wvcmc(self, mode: str, params) -> SchemeOutput:
+    def run_wgcmc(self, mode, params) -> SchemeOutput:
+        ys = self.ys[mode]
+        if mode == "oma":
+            ws = wgcmc_oma(ys, self.oma_scales, self.n0, self.reps)
+        else:
+            ws = wgcmc_noma(ys, self.config.n_workers, self.noma_min_p, self.n0, self.reps)
+        return SchemeOutput(apply_weights(ws, ys))
+
+    def run_best_single(self, mode, params) -> SchemeOutput:
+        metric = lambda s: second_order_error(s, self.reference.moment())
+        _, samples = best_single_worker(np.swapaxes(self.decoded(), 0, 1), metric)
+        return SchemeOutput(samples)
+
+    def run_wvcmc(self, mode, params) -> SchemeOutput:
         cfg = self.config
         k = cfg.n_workers
         eta = _effective_eta(params, k)
         if mode == "oma":
-            init = init_weights("oma", cfg.scenario, self.oma_enc, k, self.gcmc_fit())
-            ys, enc, s = self.ys_oma, [e.matrix() for e in self.oma_enc], self.s_oma
+            init, enc = self.oma_start(), [e.matrix() for e in self.oma_enc]
         else:
-            init = init_weights("noma", cfg.scenario, self.noma_enc, k)
-            ys, enc, s = self.ys_noma, self.noma_enc.matrix(), self.s_noma
+            init, enc = self.noma_start(), self.noma_enc.matrix()
+        ys = self.ys[mode]
         result = run_wvcmc(
             mode,
             ys,
@@ -227,9 +229,9 @@ class _TrialRunner:
             subposterior_entropies=self.entropies,
         )
         batch = params.n_b if params.n_b is not None else (self.n_data or 1)
-        return SchemeOutput(result.samples, computed_gradients=params.t_m * s * batch)
+        return SchemeOutput(result.samples, computed_gradients=params.t_m * ys.shape[0] * batch)
 
-    def _run_sgld(self, params) -> SchemeOutput:
+    def run_sgld(self, mode, params) -> SchemeOutput:
         rng = substream(self.config.seed, self.trial, "sgld")
         schedule = SgldSchedule(
             alpha=params.alpha,
@@ -272,7 +274,7 @@ class _GaussianTrial(_TrialRunner):
     def __init__(self, config: ExperimentConfig, trial: int):
         super().__init__(config, trial)
         subs = gen_gaussian_scenario(config.n_workers, self.dim, config.subposteriors)
-        self.global_cov = gaussian_global_covariance([s.cov for s in subs])
+        _, self.global_cov = gaussian_product([s.cov for s in subs])
         # Zero-mean target: the exact covariance doubles as the second moment.
         self.reference = ReferencePosterior(second_moment=self.global_cov)
         if self.s_max:
@@ -288,12 +290,21 @@ class _GaussianTrial(_TrialRunner):
         self.test_covariates = None
         self.prepare_channels()
 
+    def noma_start(self) -> WeightSet:
+        # I/K, as the toy scenario prescribes; the config admits wvcmc-noma
+        # on the toy only with identity channels, whose encoder is square.
+        return WeightSet("noma", np.eye(self.dim) / self.config.n_workers)
+
 
 class _ProbitTrial(_TrialRunner):
     def __init__(self, config: ExperimentConfig, trial: int):
         super().__init__(config, trial)
         rng_data = substream(config.seed, trial, "data")
         dataset, test_u = self._load_data(config, rng_data)
+        if dataset.dim != config.dim:
+            raise ValueError(
+                f"the data set has {dataset.dim} covariates but the config sets dim={config.dim}"
+            )
         self.dataset = dataset
         self.test_covariates = test_u
         self.n_data = dataset.size
@@ -381,8 +392,9 @@ def run_trial(config: ExperimentConfig, trial: int) -> list[dict]:
         runner = _ProbitTrial(config, trial)
     rows = []
     for name, params in config.schemes.items():
+        scheme = SCHEMES[name]
         start = time.perf_counter()
-        out = runner.run_scheme(name, params)
+        out = getattr(runner, scheme.run)(scheme.mode, params)
         wall_ms = 1000.0 * (time.perf_counter() - start)
         rows.append(runner.metrics_row(name, out, wall_ms))
     return rows

@@ -2,9 +2,8 @@
 
 All spectral operations run a symmetric eigendecomposition on the
 symmetrized input (A + A^T)/2; the matrices handled here are covariances,
-for which symmetric solvers are the stable choice.  Eigenvalues below
-``EIG_RTOL`` times the largest eigenvalue are treated as zero, so the
-inverse-type operations are pseudo-inverses on the numerical range.
+for which symmetric solvers are the stable choice.  Eigenvalues or singular
+values below ``EIG_RTOL`` times the largest are treated as zero.
 """
 
 from __future__ import annotations
@@ -72,24 +71,6 @@ def _psd_eig(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
             f"{name} is not positive semidefinite: eigenvalues in [{w[0]:.3e}, {w[-1]:.3e}]"
         )
     return np.clip(w, 0.0, None), v
-
-
-def psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition."""
-    w, v = _psd_eig(a, "psd_sqrt input")
-    return (v * np.sqrt(w)) @ v.T
-
-
-def psd_inv_sqrt(a: np.ndarray) -> np.ndarray:
-    """Pseudo inverse square root of a symmetric PSD matrix.
-
-    Eigenvalues below ``EIG_RTOL`` times the largest map to zero, so for a
-    singular input the result inverts only the numerical range.
-    """
-    w, v = _psd_eig(a, "psd_inv_sqrt input")
-    thr = EIG_RTOL * (w[-1] if w[-1] > 0 else 0.0)
-    inv_sqrt = np.where(w > thr, 1.0 / np.sqrt(np.where(w > thr, w, 1.0)), 0.0)
-    return (v * inv_sqrt) @ v.T
 
 
 def positive_part(a: np.ndarray) -> np.ndarray:

@@ -98,37 +98,6 @@ class ProbitShard:
         return self.covariates.shape[1]
 
 
-@dataclass
-class GibbsState:
-    """Current coefficient draw, per-point latents, and sweep counter."""
-
-    theta: np.ndarray
-    latents: np.ndarray
-    sweep: int = 0
-
-
-# ---------------------------------------------------------------------------
-# Gaussian aggregation target
-# ---------------------------------------------------------------------------
-
-
-def gaussian_global_covariance(covs) -> np.ndarray:
-    """Covariance of the product of zero-mean Gaussians: (sum_k C_k^{-1})^{-1}."""
-    covs = [np.asarray(c, dtype=float) for c in covs]
-    if not covs:
-        raise ValueError("need at least one covariance")
-    d = covs[0].shape[0]
-    precision = np.zeros((d, d))
-    for c in covs:
-        c = _require_symmetric(c, "covariance")
-        w = np.linalg.eigvalsh(c)
-        if w[0] <= EIG_RTOL * w[-1]:
-            raise np.linalg.LinAlgError("singular covariance in global combination")
-        precision += np.linalg.inv(c)
-    out = np.linalg.inv(precision)
-    return 0.5 * (out + out.T)
-
-
 # ---------------------------------------------------------------------------
 # probit gradients
 # ---------------------------------------------------------------------------
@@ -143,14 +112,6 @@ def _probit_scores(margins: np.ndarray, labels: np.ndarray) -> np.ndarray:
     signs = 2.0 * np.asarray(labels, dtype=float) - 1.0
     st = signs * np.asarray(margins, dtype=float)
     return signs * np.exp(-0.5 * st * st - 0.5 * _LOG_2PI - log_ndtr(st))
-
-
-def probit_loglik_grad(theta: np.ndarray, u: np.ndarray, v: int) -> np.ndarray:
-    """Gradient of the probit log likelihood for a single observation (u, v)."""
-    theta = np.asarray(theta, dtype=float)
-    u = np.asarray(u, dtype=float)
-    margin = float(u @ theta)
-    return float(_probit_scores(margin, v)) * u
 
 
 def probit_loglik(theta: np.ndarray, u: np.ndarray, v) -> float:
@@ -382,15 +343,13 @@ def gibbs_probit_sampler(
     positive = v == 1
 
     theta = ml_estimate_probit(shard) if init is None else np.asarray(init, dtype=float)
-    state = GibbsState(theta=theta, latents=np.zeros(shard.size))
     out = np.empty((n_samples, shard.dim))
     for sweep in range(burn_in + n_samples):
-        state.latents = sample_truncated_normal(u @ state.theta, rng, positive=positive)
+        latents = sample_truncated_normal(u @ theta, rng, positive=positive)
         noise = factor @ rng.standard_normal(shard.dim)
-        state.theta = cov @ (u.T @ state.latents) + noise
-        state.sweep = sweep + 1
+        theta = cov @ (u.T @ latents) + noise
         if sweep >= burn_in:
-            out[sweep - burn_in] = state.theta
+            out[sweep - burn_in] = theta
     return out
 
 

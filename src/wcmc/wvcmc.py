@@ -10,7 +10,7 @@ bound with plain SGD gives the weight update loop in ``run_wvcmc``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,19 +23,6 @@ _LOG_2PI_E = np.log(2.0 * np.pi) + 1.0
 # it drives any W_k E_k or W_k within this relative margin of singularity.
 _MAX_HALVINGS = 5
 _SINGULAR_RTOL = 1e-12
-
-
-@dataclass
-class VariationalState:
-    """Bookkeeping for one optimizer run."""
-
-    weights: WeightSet
-    step_size: float
-    max_iterations: int
-    minibatch_size: int | None
-    subposterior_entropies: np.ndarray | None = None
-    iteration: int = 0
-    objective_trace: list = field(default_factory=list)
 
 
 def _stack_encodings(encodings) -> np.ndarray:
@@ -223,15 +210,8 @@ def run_wvcmc(
     if minibatch_size is not None and (n_data is None or not 1 <= minibatch_size <= n_data):
         raise ValueError("minibatch_size must lie in [1, n_data]")
 
-    state = VariationalState(
-        weights=init.copy(),
-        step_size=step_size,
-        max_iterations=n_iterations,
-        minibatch_size=minibatch_size,
-        subposterior_entropies=None
-        if subposterior_entropies is None
-        else np.asarray(subposterior_entropies, dtype=float),
-    )
+    weights = init
+    trace = []
 
     def gradient(ws: WeightSet, idx):
         if mode == "oma":
@@ -241,10 +221,10 @@ def run_wvcmc(
     def objective(ws: WeightSet, idx):
         if mode == "oma":
             return free_energy_oma(
-                ws, ys, enc, n0, state.subposterior_entropies, log_joint, idx
+                ws, ys, enc, n0, subposterior_entropies, log_joint, idx
             )
         return free_energy_noma(
-            ws, ys, enc, n0, n_workers, state.subposterior_entropies, log_joint, idx
+            ws, ys, enc, n0, n_workers, subposterior_entropies, log_joint, idx
         )
 
     def valid(mat: np.ndarray) -> bool:
@@ -256,54 +236,26 @@ def run_wvcmc(
         idx = None
         if minibatch_size is not None and minibatch_size < n_data:
             idx = rng.choice(n_data, size=minibatch_size, replace=False)
-        grad = gradient(state.weights, idx)
+        grad = gradient(weights, idx)
         step = step_size
         for _ in range(_MAX_HALVINGS + 1):
-            candidate = state.weights.matrices - step * grad
+            candidate = weights.matrices - step * grad
             if valid(candidate):
-                state.weights = WeightSet(mode, candidate)
+                weights = WeightSet(mode, candidate)
                 break
             step *= 0.5
-        state.iteration = t + 1
         if log_joint is not None:
-            value = objective(state.weights, idx)
+            value = objective(weights, idx)
             if not np.isfinite(value):
                 raise RuntimeError(
                     f"non-finite objective {value} at iteration {t + 1} "
                     f"(step size {step_size}, minibatch size {minibatch_size})"
                 )
-            state.objective_trace.append(value)
+            trace.append(value)
 
     return WvcmcResult(
-        weights=state.weights,
-        objective_trace=np.asarray(state.objective_trace),
-        samples=apply_weights(state.weights, ys),
+        weights=weights,
+        objective_trace=np.asarray(trace),
+        samples=apply_weights(weights, ys),
     )
 
-
-def init_weights(
-    mode: str,
-    scenario: str,
-    encodings,
-    n_workers: int,
-    gcmc: WeightSet | None = None,
-) -> WeightSet:
-    """Scenario-prescribed starting weights for the optimizer.
-
-    OMA starts from the fitted inverse-covariance consensus weights composed
-    with the decoders (they must be supplied as square (K, d, d) matrices in
-    ``gcmc``).  NOMA starts from I/K in the Gaussian toy scenario and from
-    E^+/K in the probit scenarios.
-    """
-    if mode == "oma":
-        if gcmc is None:
-            raise ValueError("OMA initialization needs a fitted consensus weight set")
-        decoders = np.stack([e.decode_matrix() for e in encodings])
-        return WeightSet("oma", np.einsum("kde,kem->kdm", gcmc.matrices, decoders))
-    if scenario == "gaussian-toy":
-        dim = encodings.dim
-        if encodings.m_r != dim:
-            raise ValueError("toy NOMA initialization assumes a square encoder")
-        return WeightSet("noma", np.eye(dim) / n_workers)
-    pinv = np.linalg.pinv(encodings.matrix())
-    return WeightSet("noma", pinv / n_workers)

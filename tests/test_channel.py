@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wcmc import channel
 
@@ -155,6 +158,20 @@ class TestTransmission:
         ys = channel.transmit_noma(thetas, enc, 0.25, np.random.default_rng(9))
         assert np.var(ys) == pytest.approx(0.25, rel=0.05)
 
+    def test_oma_matches_per_worker_encode_loop(self):
+        # The broadcast encoding reproduces a per-worker encode loop bit for bit.
+        thetas = np.random.default_rng(12).standard_normal((7, 3, 2))
+        encs = channel.oma_encodings([0.7, 1.9, 3.1], dim=2, reps=2)
+        looped = np.empty((7, 3, 4))
+        for k, enc in enumerate(encs):
+            looped[:, k, :] = enc.encode(thetas[:, k, :])
+        looped = looped + np.sqrt(0.3) * np.random.default_rng(13).standard_normal(looped.shape)
+        ys = channel.transmit_oma(thetas, encs, 0.3, np.random.default_rng(13))
+        np.testing.assert_array_equal(ys, looped)
+        mixed = [encs[0], channel.RepetitionEncoding(2, 1, 1.0), encs[2]]
+        with pytest.raises(ValueError, match="reps"):
+            channel.transmit_oma(thetas, mixed, 0.3, np.random.default_rng(13))
+
     def test_fixed_seed_reproducible(self):
         thetas = np.random.default_rng(10).standard_normal((5, 2, 3))
         encs = channel.oma_encodings([1.0, 1.0], dim=3, reps=1)
@@ -202,3 +219,24 @@ class TestVerifyPower:
         realized = channel.realized_block_powers(samples, chan, enc, rng)
         expected = channel.expected_block_powers(samples, chan.mean_inverse_gram(), enc)
         assert realized.mean() == pytest.approx(expected.mean(), rel=0.1)
+
+
+class TestRepetitionFold:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 6),
+        reps=st.integers(1, 4),
+        scale=st.floats(1e-3, 1e3),
+        data=st.data(),
+    )
+    def test_fold_inverts_encode(self, dim, reps, scale, data):
+        thetas = data.draw(
+            hnp.arrays(np.float64, (3, dim), elements=st.floats(-1e3, 1e3, allow_subnormal=False))
+        )
+        enc = channel.RepetitionEncoding(dim, reps, scale)
+        fold = channel.fold_matrix(dim, reps)
+        np.testing.assert_array_equal(enc.fold_matrix(), fold)
+        encoded = enc.encode(thetas)
+        np.testing.assert_allclose(encoded @ fold.T, np.sqrt(scale) * thetas, rtol=1e-12, atol=1e-9)
+        np.testing.assert_allclose(enc.decode(encoded), thetas, rtol=1e-12, atol=1e-9)
+        np.testing.assert_allclose(thetas @ enc.matrix().T, encoded, rtol=1e-14, atol=0)

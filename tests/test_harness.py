@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from wcmc.harness import cli, report
+from wcmc.harness import cli, report, runner
 from wcmc.harness.config import ConfigError, parse_config
 from wcmc.harness.data import (
     LabeledDataset,
@@ -43,14 +43,14 @@ class TestGaussianScenario:
         np.testing.assert_allclose(subs[0].cov, np.eye(5))
 
     def test_homogeneous_product_matches(self):
-        from wcmc.posteriors import gaussian_global_covariance
+        from wcmc.aggregators import gaussian_product
 
         het = gen_gaussian_scenario(6, 4, "heterogeneous")
         hom = gen_gaussian_scenario(6, 4, "homogeneous")
-        target = gaussian_global_covariance([s.cov for s in het])
+        _, target = gaussian_product([s.cov for s in het])
         for s in hom:
             np.testing.assert_allclose(s.cov, 6 * target, atol=1e-10)
-        implied = gaussian_global_covariance([s.cov for s in hom])
+        _, implied = gaussian_product([s.cov for s in hom])
         np.testing.assert_allclose(implied, target, atol=1e-10)
 
 
@@ -190,6 +190,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="minibatch"):
             toy_config(schemes={"wvcmc-oma": {"eta": 1e-3, "t_m": 5, "n_b": 10}})
 
+    def test_toy_noma_start_needs_identity_channel(self):
+        with pytest.raises(ConfigError, match="wvcmc-noma.*identity channel.*iid-gaussian"):
+            toy_config(channel="iid-gaussian")
+        # the other schemes run on any channel
+        toy_config(
+            channel="iid-gaussian",
+            schemes={"wgcmc-noma": {}, "wvcmc-oma": {"eta": 1e-3, "t_m": 2}},
+        )
+
     def test_csv_scenario_needs_csv_section(self):
         with pytest.raises(ConfigError, match="csv"):
             parse_config(
@@ -298,6 +307,30 @@ class TestEndToEndScenarios:
         for row in rows:
             assert np.isfinite(row["err2"])
             assert row["kl"] != "" and np.isfinite(row["kl"])
+
+    def test_csv_covariate_count_must_match_dim(self, tmp_path, monkeypatch):
+        # An 8-column CSV under the default dim=5 fails as soon as it loads,
+        # before the reference chain runs.
+        ds = gen_probit_data(200, 8, np.full(8, 0.3), np.random.default_rng(9))
+        path = tmp_path / "wide.csv"
+        export_csv(ds, path)
+        chains = []
+        monkeypatch.setattr(runner, "gibbs_probit_sampler", lambda *a, **kw: chains.append(a))
+        cfg = parse_config(
+            {
+                "scenario": "probit-csv",
+                "n_workers": 2,
+                "t_blocks": 20,
+                "snr_db": 10.0,
+                "trials": 1,
+                "seed": 3,
+                "csv": {"path": str(path)},
+                "schemes": {"gcmc": {}},
+            }
+        )
+        with pytest.raises(ValueError, match="8 covariates.*dim=5"):
+            run_experiment(cfg)
+        assert chains == []
 
     def test_worker_count_sweep_with_scaled_step(self):
         cfg = toy_config(

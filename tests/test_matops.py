@@ -36,49 +36,6 @@ class TestZfPseudoinverse:
             matops.zf_pseudoinverse(np.ones((4, 2)))
 
 
-class TestPsdSqrtFamily:
-    def test_identity_fixed_point(self):
-        np.testing.assert_allclose(matops.psd_sqrt(np.eye(4)), np.eye(4))
-        np.testing.assert_allclose(matops.psd_inv_sqrt(np.eye(4)), np.eye(4))
-
-    def test_diagonal_values(self):
-        a = np.diag([4.0, 9.0])
-        np.testing.assert_allclose(matops.psd_sqrt(a), np.diag([2.0, 3.0]))
-        np.testing.assert_allclose(matops.psd_inv_sqrt(a), np.diag([0.5, 1.0 / 3.0]))
-
-    def test_sqrt_squares_back(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            a = random_psd(rng, 5)
-            r = matops.psd_sqrt(a)
-            np.testing.assert_allclose(r @ r, a, atol=1e-9 * max(1, np.abs(a).max()))
-
-    def test_inv_sqrt_whitens_pd(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            a = random_psd(rng, 4, min_eig=0.1)
-            r = matops.psd_inv_sqrt(a)
-            np.testing.assert_allclose(r @ a @ r, np.eye(4), atol=1e-8)
-
-    def test_inv_sqrt_projects_on_range(self):
-        # Rank-deficient input: R A R must be the projector onto range(A),
-        # checked against an independent eigendecomposition oracle.
-        rng = np.random.default_rng(3)
-        b = rng.standard_normal((5, 3))
-        a = b @ b.T  # rank 3
-        r = matops.psd_inv_sqrt(a)
-        w, v = np.linalg.eigh(a)
-        keep = w > 1e-10 * w.max()
-        projector = (v[:, keep]) @ v[:, keep].T
-        np.testing.assert_allclose(r @ a @ r, projector, atol=1e-8)
-
-    def test_asymmetric_rejected(self):
-        bad = np.array([[1.0, 0.5], [0.0, 1.0]])
-        for op in (matops.psd_sqrt, matops.psd_inv_sqrt, matops.positive_part):
-            with pytest.raises(ValueError):
-                op(bad)
-
-
 class TestPositivePart:
     def test_identity(self):
         np.testing.assert_allclose(matops.positive_part(np.eye(3)), np.eye(3))
@@ -103,6 +60,10 @@ class TestPositivePart:
         np.testing.assert_allclose(matops.positive_part(once), once, atol=1e-10)
         psd = random_psd(rng, 4, min_eig=0.01)
         np.testing.assert_allclose(matops.positive_part(psd), psd, atol=1e-10)
+
+    def test_asymmetric_rejected(self):
+        with pytest.raises(ValueError):
+            matops.positive_part(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 class TestToeplitzCovariance:

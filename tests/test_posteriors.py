@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import log_ndtr, ndtr
 
-from wcmc import posteriors
+from wcmc import aggregators, posteriors
 from wcmc.matops import toeplitz_covariance
 
 
@@ -19,33 +19,54 @@ def finite_difference(fun, x, h=1e-5):
 
 
 class TestGaussianGlobalCovariance:
+    """The global covariance of Gaussian subposteriors, from the product rule in aggregators."""
+
     def test_single_worker_identity_map(self):
         a = toeplitz_covariance(0.4, 3)
-        np.testing.assert_allclose(posteriors.gaussian_global_covariance([a]), a, atol=1e-12)
+        _, combined = aggregators.gaussian_product([a])
+        np.testing.assert_allclose(combined, a, atol=1e-12)
 
     def test_two_identical_identities(self):
-        out = posteriors.gaussian_global_covariance([np.eye(2), np.eye(2)])
-        np.testing.assert_allclose(out, np.eye(2) / 2)
+        precisions, combined = aggregators.gaussian_product([np.eye(2), np.eye(2)])
+        np.testing.assert_allclose(precisions, np.stack([np.eye(2)] * 2))
+        np.testing.assert_allclose(combined, np.eye(2) / 2)
 
     def test_toeplitz_family_against_inverse_sum(self):
         covs = [toeplitz_covariance((k - 1) / 10, 5) for k in range(1, 11)]
         oracle = np.linalg.inv(sum(np.linalg.inv(c) for c in covs))
-        out = posteriors.gaussian_global_covariance(covs)
-        np.testing.assert_allclose(out, oracle, atol=1e-10)
+        _, combined = aggregators.gaussian_product(covs)
+        np.testing.assert_allclose(combined, oracle, atol=1e-10)
 
     def test_psd_order_against_inputs(self):
         # Information only accumulates: the combination precedes every input.
         covs = [toeplitz_covariance(0.2, 4), toeplitz_covariance(0.7, 4)]
-        out = posteriors.gaussian_global_covariance(covs)
+        _, combined = aggregators.gaussian_product(covs)
         for c in covs:
-            w = np.linalg.eigvalsh(c - out)
+            w = np.linalg.eigvalsh(c - combined)
             assert w.min() > -1e-10
+
+    def test_singular_input_is_ridged(self):
+        # diag(1, 0) gets the ridge lam = RIDGE_RTOL * trace / d before inversion.
+        lam = aggregators.RIDGE_RTOL * 0.5
+        precisions, combined = aggregators.gaussian_product([np.diag([1.0, 0.0]), np.eye(2)])
+        expected = np.diag([1.0 / (1.0 + lam), 1.0 / lam])
+        np.testing.assert_allclose(precisions[0], expected, rtol=1e-12)
+        np.testing.assert_allclose(combined, np.linalg.inv(expected + np.eye(2)), rtol=1e-12)
+
+
+def loglik_grad(theta, u, v):
+    """Probit log-likelihood gradient of one observation (u, v).
+
+    It is the one-row log-joint gradient minus the prior's.
+    """
+    joint = posteriors.log_joint_grad(theta, u[None, :], [v], n_total=1, sigma2=1.0)
+    return joint - posteriors.prior_grad(theta, 1.0)
 
 
 class TestProbitGradients:
     def test_zero_margin_label_one(self):
         u = np.array([1.0, 0.0])
-        grad = posteriors.probit_loglik_grad(np.zeros(2), u, 1)
+        grad = loglik_grad(np.zeros(2), u, 1)
         # phi(0) / Phi(0) = 0.7979 to four digits
         np.testing.assert_allclose(grad, 0.7979 * u, atol=5e-5)
 
@@ -53,8 +74,8 @@ class TestProbitGradients:
         rng = np.random.default_rng(0)
         u = rng.standard_normal(3)
         theta = np.zeros(3)
-        g1 = posteriors.probit_loglik_grad(theta, u, 1)
-        g0 = posteriors.probit_loglik_grad(theta, u, 0)
+        g1 = loglik_grad(theta, u, 1)
+        g0 = loglik_grad(theta, u, 0)
         np.testing.assert_allclose(g1, -g0, atol=1e-12)
 
     def test_matches_finite_difference(self):
@@ -63,17 +84,17 @@ class TestProbitGradients:
             theta = rng.standard_normal(4)
             u = rng.standard_normal(4)
             v = int(rng.uniform() < 0.5)
-            grad = posteriors.probit_loglik_grad(theta, u, v)
+            grad = loglik_grad(theta, u, v)
             fd = finite_difference(lambda t: posteriors.probit_loglik(t, u[None, :], [v]), theta)
             np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-7)
 
     def test_stable_in_deep_tails(self):
         u = np.array([1.0])
         for margin in (-40.0, -10.0, 10.0, 40.0):
-            grad = posteriors.probit_loglik_grad(np.array([margin]), u, 1)
+            grad = loglik_grad(np.array([margin]), u, 1)
             assert np.isfinite(grad).all()
         # Misclassified deep tail behaves like |margin|.
-        g = posteriors.probit_loglik_grad(np.array([-30.0]), u, 1)
+        g = loglik_grad(np.array([-30.0]), u, 1)
         assert g[0] == pytest.approx(30.0, rel=0.01)
 
 
@@ -97,7 +118,7 @@ class TestPriorAndJointGrad:
         theta = rng.standard_normal(3)
         full = posteriors.log_joint_grad(theta, u, v, n_total=10, sigma2=1.0)
         manual = posteriors.prior_grad(theta, 1.0) + sum(
-            posteriors.probit_loglik_grad(theta, u[i], v[i]) for i in range(10)
+            posteriors._probit_scores(u[i] @ theta, v[i]) * u[i] for i in range(10)
         )
         np.testing.assert_allclose(full, manual, atol=1e-10)
 

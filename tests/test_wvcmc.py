@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from wcmc import channel, posteriors, wvcmc
+from wcmc import aggregators, channel, posteriors, wvcmc
 from wcmc.aggregators import WeightSet, apply_weights
+from wcmc.harness import config, runner
 
 
 def random_pd(rng, d, floor=0.3):
@@ -190,7 +191,7 @@ class TestRunWvcmc:
         encs = channel.oma_encodings([1.0] * k, d, 1)
         n0 = 0.2
         ys = channel.transmit_oma(thetas, encs, n0, rng)
-        global_cov = posteriors.gaussian_global_covariance(covs)
+        _, global_cov = aggregators.gaussian_product(covs)
         return covs, encs, n0, ys, global_cov
 
     def test_zero_step_size_keeps_init(self):
@@ -268,28 +269,56 @@ class TestRunWvcmc:
         assert np.linalg.norm(data_grad) < 1e-3
 
 
+def start_trial(**overrides):
+    """A one-trial runner, built up to its received blocks, for a small config."""
+    doc = {
+        "scenario": "gaussian-toy",
+        "n_workers": 3,
+        "t_blocks": 60,
+        "snr_db": 5.0,
+        "trials": 1,
+        "seed": 4,
+        "schemes": {
+            "gcmc": {},
+            "wvcmc-oma": {"eta": 1e-3, "t_m": 0},
+            "wvcmc-noma": {"eta": 1e-3, "t_m": 0},
+        },
+    }
+    doc.update(overrides)
+    cfg = config.parse_config(doc)
+    trial = runner._GaussianTrial if cfg.scenario == "gaussian-toy" else runner._ProbitTrial
+    return trial(cfg, 0), cfg
+
+
 class TestInitWeights:
+    """Starting weights of the optimizer, which the experiment runner builds."""
+
     def test_toy_noma_identity_over_k(self):
-        enc = channel.RepetitionEncoding(4, 1, 0.7)
-        ws = wvcmc.init_weights("noma", "gaussian-toy", enc, 8)
-        np.testing.assert_allclose(ws.matrices, np.eye(4) / 8)
+        trial, _ = start_trial(n_workers=8, t_blocks=80)
+        np.testing.assert_array_equal(trial.noma_start().matrices, np.eye(5) / 8)
 
     def test_probit_noma_scaled_pseudoinverse(self):
-        enc = channel.RepetitionEncoding(3, 2, 4.0)
-        ws = wvcmc.init_weights("noma", "probit-synthetic", enc, 5)
-        np.testing.assert_allclose(ws.matrices, np.linalg.pinv(enc.matrix()) / 5)
+        trial, _ = start_trial(
+            scenario="probit-synthetic",
+            data={"n": 200, "n_test": 0},
+            reference={"n_samples": 1000, "burn_in": 10},
+        )
+        assert trial.noma_enc.reps == 2
+        pinv = np.linalg.pinv(trial.noma_enc.matrix())
+        np.testing.assert_allclose(trial.noma_start().matrices, pinv / 3)
 
     def test_oma_composes_decoders(self):
-        rng = np.random.default_rng(10)
-        encs = channel.oma_encodings([1.0, 2.0], 2, reps=2)
-        square = WeightSet("oma", rng.standard_normal((2, 2, 2)))
-        ws = wvcmc.init_weights("oma", "probit-synthetic", encs, 2, square)
-        for k, enc in enumerate(encs):
-            np.testing.assert_allclose(
-                ws.matrices[k], square.matrices[k] @ enc.decode_matrix()
-            )
+        trial, _ = start_trial(channel="iid-gaussian", schemes={"gcmc": {}})
+        square = aggregators.gcmc_weights(trial.decoded())
+        start = trial.oma_start().matrices
+        for k, enc in enumerate(trial.oma_enc):
+            assert enc.reps == 2
+            np.testing.assert_allclose(start[k], square.matrices[k] @ enc.decode_matrix())
 
-    def test_oma_requires_fit(self):
-        encs = channel.oma_encodings([1.0], 2, 1)
-        with pytest.raises(ValueError):
-            wvcmc.init_weights("oma", "gaussian-toy", encs, 1)
+    def test_zero_iterations_reproduce_gcmc_exactly(self):
+        trial, cfg = start_trial()
+        params = cfg.schemes["wvcmc-oma"]
+        gcmc = trial.run_gcmc("oma", None).samples
+        np.testing.assert_array_equal(trial.run_wvcmc("oma", params).samples, gcmc)
+        rows = {row["scheme"]: row for row in runner.run_experiment(cfg)}
+        assert rows["wvcmc-oma"]["err2"] == rows["gcmc"]["err2"]
