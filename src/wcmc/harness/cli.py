@@ -72,6 +72,7 @@ def main(argv=None) -> int:
         print(f"wrote {dataset.size} rows x {dataset.dim} covariates to {out}")
         return 0
 
+    extra = {}
     if args.command == "run":
         rows = run_experiment(config, parallel=args.parallel)
     else:
@@ -79,9 +80,10 @@ def main(argv=None) -> int:
         if not values:
             raise SystemExit("--values must list at least one number")
         rows = sweep(config, args.axis, values, parallel=args.parallel)
+        extra["sweep"] = {"axis": args.axis, "values": values}
 
     write_rows(out, rows)
-    write_manifest(out, config, extra={"rows_written": len(rows)})
+    write_manifest(out, config, extra={"rows_written": len(rows), **extra})
     print(f"appended {len(rows)} rows to {out}")
     return 0
 

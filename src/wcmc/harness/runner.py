@@ -45,14 +45,11 @@ from ..metrics import ReferencePosterior, kl_ensemble, second_order_error
 from ..posteriors import (
     ProbitShard,
     gaussian_joint_grad_fn,
-    gaussian_log_joint_fn,
     gibbs_probit_sampler,
-    knn_entropy,
     probit_joint_grad_fn,
-    probit_log_joint_fn,
 )
 from ..wvcmc import run_wvcmc
-from .config import SCHEMES, ExperimentConfig, WvcmcParams, resolved_dict
+from .config import SCHEMES, ExperimentConfig, resolved_dict
 from .data import LabeledDataset, gen_gaussian_scenario, gen_probit_data, ingest_csv, partition
 
 RESULT_COLUMNS = (
@@ -96,10 +93,6 @@ class SchemeOutput:
     computed_gradients: int = 0
 
 
-def _effective_eta(params, n_workers: int) -> float:
-    return params.eta / n_workers if params.eta_div_k else params.eta
-
-
 class _TrialRunner:
     """Shared wiring for one trial: receptions are built once and reused by
     every scheme that consumes the same access mode."""
@@ -108,7 +101,6 @@ class _TrialRunner:
         self.config = config
         self.trial = trial
         self.dim = config.dim
-        k = config.n_workers
         if config.channel_kind == "identity":
             self.reps = 1
             self.channel = ChannelModel("identity", self.dim, self.dim)
@@ -121,14 +113,11 @@ class _TrialRunner:
         self.s_oma = config.s_oma if config.uses_oma else 0
         self.s_noma = config.s_noma if config.uses_noma else 0
         self.s_max = max(self.s_oma, self.s_noma)
-        self.needs_entropies = any(isinstance(p, WvcmcParams) for p in config.schemes.values())
 
     # subclasses fill these in
     worker_samples: np.ndarray  # (s_max, K, d)
     reference: ReferencePosterior
     joint_grad = None
-    log_joint = None
-    entropies: np.ndarray | None = None
     n_data: int | None = None
     test_covariates: np.ndarray | None = None
 
@@ -137,34 +126,28 @@ class _TrialRunner:
         self.ys = {}  # received blocks by access mode
         self._decoded = None
         self._oma_start = None
-        if self.s_oma:
-            thetas = self.worker_samples[: self.s_oma]
+        for mode, s in (("oma", self.s_oma), ("noma", self.s_noma)):
+            if not s:
+                continue
+            thetas = self.worker_samples[:s]
             scales = [
                 power_scale(thetas[:, j], self.gram, self.reps, self.power.p) for j in range(k)
             ]
-            self.oma_enc = oma_encodings(scales, self.dim, self.reps)
-            self.oma_scales = np.asarray(scales)
-            self.ys["oma"] = transmit_oma(
-                thetas, self.oma_enc, self.n0, substream(cfg.seed, self.trial, "oma-noise")
-            )
-        if self.s_noma:
-            thetas = self.worker_samples[: self.s_noma]
-            scales = [
-                power_scale(thetas[:, j], self.gram, self.reps, self.power.p) for j in range(k)
-            ]
-            self.noma_enc = noma_encoding(scales, self.dim, self.reps)
-            self.noma_min_p = float(min(scales))
-            self.ys["noma"] = transmit_noma(
-                thetas, self.noma_enc, self.n0, substream(cfg.seed, self.trial, "noma-noise")
-            )
+            rng = substream(cfg.seed, self.trial, f"{mode}-noise")
+            if mode == "oma":
+                self.oma_enc = oma_encodings(scales, self.dim, self.reps)
+                self.ys[mode] = transmit_oma(thetas, self.oma_enc, self.n0, rng)
+            else:
+                self.noma_enc = noma_encoding(scales, self.dim, self.reps)
+                self.ys[mode] = transmit_noma(thetas, self.noma_enc, self.n0, rng)
 
     def decoded(self) -> np.ndarray:
         """Per-worker decoded signals E_k^+ y_k, shape (S, K, d)."""
         if self._decoded is None:
-            out = np.empty((self.s_oma, self.config.n_workers, self.dim))
-            for j, enc in enumerate(self.oma_enc):
-                out[:, j, :] = enc.decode(self.ys["oma"][:, j, :])
-            self._decoded = out
+            ys = self.ys["oma"]
+            self._decoded = np.stack(
+                [enc.decode(ys[:, j, :]) for j, enc in enumerate(self.oma_enc)], axis=1
+            )
         return self._decoded
 
     def oma_start(self) -> WeightSet:
@@ -193,9 +176,9 @@ class _TrialRunner:
     def run_wgcmc(self, mode, params) -> SchemeOutput:
         ys = self.ys[mode]
         if mode == "oma":
-            ws = wgcmc_oma(ys, self.oma_scales, self.n0, self.reps)
+            ws = wgcmc_oma(ys, [e.scale for e in self.oma_enc], self.n0, self.reps)
         else:
-            ws = wgcmc_noma(ys, self.config.n_workers, self.noma_min_p, self.n0, self.reps)
+            ws = wgcmc_noma(ys, self.config.n_workers, self.noma_enc.scale, self.n0, self.reps)
         return SchemeOutput(apply_weights(ws, ys))
 
     def run_best_single(self, mode, params) -> SchemeOutput:
@@ -206,27 +189,22 @@ class _TrialRunner:
     def run_wvcmc(self, mode, params) -> SchemeOutput:
         cfg = self.config
         k = cfg.n_workers
-        eta = _effective_eta(params, k)
         if mode == "oma":
             init, enc = self.oma_start(), [e.matrix() for e in self.oma_enc]
         else:
             init, enc = self.noma_start(), self.noma_enc.matrix()
         ys = self.ys[mode]
         result = run_wvcmc(
-            mode,
             ys,
             init,
             enc,
-            self.n0,
             self.joint_grad,
-            eta,
+            params.eta / k if params.eta_div_k else params.eta,
             params.t_m,
             substream(cfg.seed, self.trial, f"wvcmc-{mode}"),
             n_workers=k,
             n_data=self.n_data,
             minibatch_size=params.n_b,
-            log_joint=self.log_joint,
-            subposterior_entropies=self.entropies,
         )
         batch = params.n_b if params.n_b is not None else (self.n_data or 1)
         return SchemeOutput(result.samples, computed_gradients=params.t_m * ys.shape[0] * batch)
@@ -284,8 +262,6 @@ class _GaussianTrial(_TrialRunner):
             ]
             self.worker_samples = np.stack(draws, axis=1)
         self.joint_grad = gaussian_joint_grad_fn(self.global_cov)
-        self.log_joint = gaussian_log_joint_fn(self.global_cov)
-        self.entropies = np.asarray([s.entropy() for s in subs])
         self.n_data = None
         self.test_covariates = None
         self.prepare_channels()
@@ -343,14 +319,6 @@ class _ProbitTrial(_TrialRunner):
             self.worker_samples = np.stack(draws, axis=1)
         self.joint_grad = probit_joint_grad_fn(
             dataset.covariates, dataset.labels, config.prior_variance
-        )
-        self.log_joint = probit_log_joint_fn(
-            dataset.covariates, dataset.labels, config.prior_variance
-        )
-        self.entropies = (
-            np.asarray([knn_entropy(self.worker_samples[:, j, :]) for j in range(k)])
-            if self.s_max and self.needs_entropies
-            else None
         )
         self.prepare_channels()
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import digamma, gammaln, log_ndtr, ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri
 
 from .matops import EIG_RTOL, _require_symmetric, psd_factor
 
@@ -351,20 +350,3 @@ def gibbs_probit_sampler(
         if sweep >= burn_in:
             out[sweep - burn_in] = theta
     return out
-
-
-# ---------------------------------------------------------------------------
-# entropy estimation
-# ---------------------------------------------------------------------------
-
-
-def knn_entropy(samples: np.ndarray, k: int = 3) -> float:
-    """Kozachenko-Leonenko nearest-neighbor differential entropy estimate."""
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 2 or x.shape[0] <= k:
-        raise ValueError(f"need more than k={k} samples, got shape {x.shape}")
-    n, d = x.shape
-    dist, _ = cKDTree(x).query(x, k=k + 1)
-    eps = np.maximum(dist[:, -1], 1e-300)
-    log_unit_ball = 0.5 * d * np.log(np.pi) - gammaln(0.5 * d + 1.0)
-    return float(d * np.mean(np.log(eps)) + log_unit_ball + digamma(n) - digamma(k))

@@ -17,10 +17,9 @@ import numpy as np
 from .aggregators import WeightSet, apply_weights
 from .matops import EIG_RTOL
 
-_LOG_2PI_E = np.log(2.0 * np.pi) + 1.0
-
 # A step is rejected (and retried at half length, up to this many times) when
-# it drives any W_k E_k or W_k within this relative margin of singularity.
+# it makes any W_k E_k or W_k non-finite or drives it within this relative
+# margin of singularity.
 _MAX_HALVINGS = 5
 _SINGULAR_RTOL = 1e-12
 
@@ -156,9 +155,13 @@ def grad_noma(weight, ys, encoding, n_workers, joint_grad, idx=None) -> np.ndarr
 
 
 def _well_conditioned(w: np.ndarray, e: np.ndarray) -> bool:
-    for mat in (w @ e, w):
-        sv = np.linalg.svd(mat, compute_uv=False)
-        if sv[-1] <= _SINGULAR_RTOL * sv[0] or not np.isfinite(sv[0]):
+    """Whether every W_k E_k and W_k of a (K, d, m_r) weight stack and a
+    (K, m_r, d) encoder stack is finite and clear of singularity."""
+    for mats in (w @ e, w):
+        if not np.all(np.isfinite(mats)):
+            return False
+        sv = np.linalg.svd(mats, compute_uv=False)
+        if np.any(sv[:, -1] <= _SINGULAR_RTOL * sv[:, 0]):
             return False
     return True
 
@@ -166,16 +169,13 @@ def _well_conditioned(w: np.ndarray, e: np.ndarray) -> bool:
 @dataclass
 class WvcmcResult:
     weights: WeightSet
-    objective_trace: np.ndarray
     samples: np.ndarray
 
 
 def run_wvcmc(
-    mode: str,
     ys: np.ndarray,
     init: WeightSet,
     encodings,
-    n0: float,
     joint_grad,
     step_size: float,
     n_iterations: int,
@@ -183,79 +183,49 @@ def run_wvcmc(
     n_workers: int | None = None,
     n_data: int | None = None,
     minibatch_size: int | None = None,
-    log_joint=None,
-    subposterior_entropies=None,
 ) -> WvcmcResult:
-    """SGD over the free-energy upper bound; returns weights, trace, samples.
+    """SGD over the free-energy upper bound from ``init``, in its access mode.
 
     Each iteration draws a fresh minibatch (uniform, without replacement;
     ``minibatch_size=None`` means full batch), takes one gradient step, and
     rejects the step with halved length (up to 5 halvings) if it lands on a
     singular weight configuration, where the log-det barrier is infinite.
-    The objective trace is recorded when ``log_joint`` is given, using the
-    same frozen minibatch as the gradient; a non-finite objective aborts.
-    Output samples are the final-weight aggregation of all S blocks.
+    When every halving is rejected the run raises ``RuntimeError``.  The
+    bound's value is never evaluated: only its gradient moves the weights.
+    Returns the final weights and their aggregation of all S blocks.
     """
-    if mode not in ("oma", "noma"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if init.mode != mode:
-        raise ValueError(f"init weights are {init.mode!r}, expected {mode!r}")
-    if mode == "oma":
-        n_workers = init.matrices.shape[0]
+    oma = init.mode == "oma"
+    if oma:
         enc = _stack_encodings(encodings)
+    elif n_workers is None:
+        raise ValueError("NOMA runs need n_workers")
     else:
-        if n_workers is None:
-            raise ValueError("NOMA runs need n_workers")
         enc = np.asarray(encodings, dtype=float)
     if minibatch_size is not None and (n_data is None or not 1 <= minibatch_size <= n_data):
         raise ValueError("minibatch_size must lie in [1, n_data]")
+    # NOMA's single weight and encoder enter the step check as stacks of one
+    enc_stack = enc.reshape((-1,) + enc.shape[-2:])
 
     weights = init
-    trace = []
-
-    def gradient(ws: WeightSet, idx):
-        if mode == "oma":
-            return grad_oma(ws, ys, enc, joint_grad, idx)
-        return grad_noma(ws, ys, enc, n_workers, joint_grad, idx)
-
-    def objective(ws: WeightSet, idx):
-        if mode == "oma":
-            return free_energy_oma(
-                ws, ys, enc, n0, subposterior_entropies, log_joint, idx
-            )
-        return free_energy_noma(
-            ws, ys, enc, n0, n_workers, subposterior_entropies, log_joint, idx
-        )
-
-    def valid(mat: np.ndarray) -> bool:
-        if mode == "oma":
-            return all(_well_conditioned(mat[j], enc[j]) for j in range(n_workers))
-        return _well_conditioned(mat, enc)
-
     for t in range(n_iterations):
         idx = None
         if minibatch_size is not None and minibatch_size < n_data:
             idx = rng.choice(n_data, size=minibatch_size, replace=False)
-        grad = gradient(weights, idx)
+        if oma:
+            grad = grad_oma(weights, ys, enc, joint_grad, idx)
+        else:
+            grad = grad_noma(weights, ys, enc, n_workers, joint_grad, idx)
         step = step_size
         for _ in range(_MAX_HALVINGS + 1):
             candidate = weights.matrices - step * grad
-            if valid(candidate):
-                weights = WeightSet(mode, candidate)
+            if _well_conditioned(candidate.reshape((-1,) + candidate.shape[-2:]), enc_stack):
+                weights = WeightSet(init.mode, candidate)
                 break
             step *= 0.5
-        if log_joint is not None:
-            value = objective(weights, idx)
-            if not np.isfinite(value):
-                raise RuntimeError(
-                    f"non-finite objective {value} at iteration {t + 1} "
-                    f"(step size {step_size}, minibatch size {minibatch_size})"
-                )
-            trace.append(value)
+        else:
+            raise RuntimeError(
+                f"every step size in [{2 * step}, {step_size}] leaves some W_k E_k or W_k "
+                f"singular or non-finite at iteration {t + 1}"
+            )
 
-    return WvcmcResult(
-        weights=weights,
-        objective_trace=np.asarray(trace),
-        samples=apply_weights(weights, ys),
-    )
-
+    return WvcmcResult(weights=weights, samples=apply_weights(weights, ys))

@@ -444,6 +444,8 @@ class TestCli:
         with open(out_path) as fh:
             rows = list(csv.DictReader(fh))
         assert {r["snr_db"] for r in rows} == {"0.0", "10.0"}
+        manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
+        assert manifest["sweep"] == {"axis": "snr", "values": [0.0, 10.0]}
 
     def test_seed_override_changes_results(self, tmp_path):
         cfg_path = tmp_path / "toy.json"

@@ -264,15 +264,6 @@ class TestMlEstimateProbit:
         assert np.isfinite(estimate).all()
 
 
-class TestKnnEntropy:
-    def test_gaussian_entropy_recovered(self):
-        rng = np.random.default_rng(17)
-        cov = np.diag([1.0, 4.0])
-        draws = rng.multivariate_normal(np.zeros(2), cov, size=20_000)
-        target = posteriors.GaussianSubposterior(cov).entropy()
-        assert posteriors.knn_entropy(draws) == pytest.approx(target, abs=0.05)
-
-
 class TestGaussianSubposterior:
     def test_entropy_closed_form(self):
         sub = posteriors.GaussianSubposterior(np.eye(2))

@@ -199,11 +199,9 @@ class TestRunWvcmc:
         covs, encs, n0, ys, global_cov = self._setup(rng)
         init = WeightSet("oma", np.stack([np.eye(2) / 3] * 3))
         result = wvcmc.run_wvcmc(
-            "oma",
             ys,
             init,
             [e.matrix() for e in encs],
-            n0,
             posteriors.gaussian_joint_grad_fn(global_cov),
             step_size=0.0,
             n_iterations=5,
@@ -218,39 +216,50 @@ class TestRunWvcmc:
         init = WeightSet("oma", np.stack([np.eye(2) / 3] * 3))
         kwargs = dict(
             encodings=[e.matrix() for e in encs],
-            n0=n0,
             joint_grad=posteriors.gaussian_joint_grad_fn(global_cov),
             step_size=1e-3,
             n_iterations=20,
-            log_joint=posteriors.gaussian_log_joint_fn(global_cov),
-            subposterior_entropies=[posteriors.GaussianSubposterior(c).entropy() for c in covs],
         )
-        a = wvcmc.run_wvcmc("oma", ys, init, rng=np.random.default_rng(1), **kwargs)
-        b = wvcmc.run_wvcmc("oma", ys, init, rng=np.random.default_rng(1), **kwargs)
+        a = wvcmc.run_wvcmc(ys, init, rng=np.random.default_rng(1), **kwargs)
+        b = wvcmc.run_wvcmc(ys, init, rng=np.random.default_rng(1), **kwargs)
+        assert not np.array_equal(a.weights.matrices, init.matrices)
         np.testing.assert_array_equal(a.weights.matrices, b.weights.matrices)
-        np.testing.assert_array_equal(a.objective_trace, b.objective_trace)
+        np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_objective_decreases_on_toy(self):
         rng = np.random.default_rng(8)
         covs, encs, n0, ys, global_cov = self._setup(rng, s=400)
         init = WeightSet("oma", np.stack([np.eye(2) / 3] * 3))
+        mats = [e.matrix() for e in encs]
         result = wvcmc.run_wvcmc(
-            "oma",
             ys,
             init,
-            [e.matrix() for e in encs],
-            n0,
+            mats,
             posteriors.gaussian_joint_grad_fn(global_cov),
             step_size=2e-3,
             n_iterations=150,
             rng=np.random.default_rng(2),
-            log_joint=posteriors.gaussian_log_joint_fn(global_cov),
-            subposterior_entropies=[
-                posteriors.GaussianSubposterior(c).entropy() for c in covs
-            ],
         )
-        trace = result.objective_trace
-        assert trace[-1] < trace[0]
+        ents = [posteriors.GaussianSubposterior(c).entropy() for c in covs]
+        log_joint = posteriors.gaussian_log_joint_fn(global_cov)
+        objective = lambda ws: wvcmc.free_energy_oma(ws, ys, mats, n0, ents, log_joint)
+        assert objective(result.weights) < objective(init)
+
+    def test_all_halvings_rejected_raises(self):
+        rng = np.random.default_rng(10)
+        covs, encs, n0, ys, global_cov = self._setup(rng)
+        init = WeightSet("oma", np.stack([np.eye(2) / 3] * 3))
+        infinite_grad = lambda thetas, idx=None: np.full_like(thetas, np.inf)
+        with pytest.raises(RuntimeError, match=r"iteration 1\b"), np.errstate(invalid="ignore"):
+            wvcmc.run_wvcmc(
+                ys,
+                init,
+                [e.matrix() for e in encs],
+                infinite_grad,
+                step_size=1e-3,
+                n_iterations=3,
+                rng=np.random.default_rng(0),
+            )
 
     def test_stationarity_with_entropy_term_disabled(self):
         # Without the log-det barrier the Gaussian-toy objective is a smooth
@@ -267,6 +276,51 @@ class TestRunWvcmc:
             data_grad = np.stack([-(g.T @ ys[:, k, :]) / s for k in range(3)])
             weights = weights - 5e-3 * data_grad
         assert np.linalg.norm(data_grad) < 1e-3
+
+
+class TestStepCheck:
+    """The validity check every candidate wvcmc step must pass."""
+
+    @staticmethod
+    def _stacks(k, d=3, reps=2, seed=11):
+        rng = np.random.default_rng(seed)
+        weights, encs, _ = gaussian_config(rng, k, d, reps)
+        return weights, np.stack([e.matrix() for e in encs])
+
+    def test_regular_stack_accepted(self):
+        w, e = self._stacks(4)
+        assert wvcmc._well_conditioned(w, e)
+
+    @pytest.mark.parametrize("j", [0, 2, 3])
+    def test_one_singular_product_rejected(self, j):
+        # W_j stays full rank, but W_j E_j maps E_j's first input direction to 0
+        w, e = self._stacks(4)
+        u = e[j][:, 0]
+        w[j] -= np.outer(w[j] @ u, u) / (u @ u)
+        assert np.linalg.matrix_rank(w[j]) == w.shape[1]
+        assert not wvcmc._well_conditioned(w, e)
+
+    @pytest.mark.parametrize("j", [0, 2, 3])
+    def test_one_singular_weight_rejected(self, j):
+        # W_j E_j stays regular, but a huge component of W_j outside E_j's
+        # range puts W_j past the singularity margin
+        w, e = self._stacks(4)
+        outside = np.linalg.svd(e[j])[0][:, -1]
+        w[j] += 1e13 * np.outer(np.ones(w.shape[1]), outside)
+        assert np.linalg.cond(w[j] @ e[j]) < 1e6
+        assert not wvcmc._well_conditioned(w, e)
+
+    def test_non_finite_member_rejected(self):
+        w, e = self._stacks(4)
+        w[1, 0, 0] = np.inf
+        with np.errstate(invalid="ignore"):
+            assert not wvcmc._well_conditioned(w, e)
+
+    def test_noma_stack_of_one(self):
+        w, e = self._stacks(1)
+        assert wvcmc._well_conditioned(w, e)
+        w[0, -1] = 2 * w[0, 0]
+        assert not wvcmc._well_conditioned(w, e)
 
 
 def start_trial(**overrides):
