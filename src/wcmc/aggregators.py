@@ -4,13 +4,16 @@
 on decoded samples as if communication were noiseless.  The channel-aware
 rules subtract the known noise covariance from the received-signal
 covariance and rescale so that the aggregated sample's law matches the
-product posterior as the sample count grows.  Weight matrices are kept
-dense; diagonal approximations for large models are out of scope.
+product posterior as the sample count grows.
+
+Weights are plain (R, d, m_r) stacks, one matrix per receiver, applied to
+(S, R, m_r) received blocks: R = K under orthogonal access, where each
+worker has its own receiver, and R = 1 under non-orthogonal access, where
+the workers superimpose on one.  Weight matrices are kept dense; diagonal
+approximations for large models are out of scope.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,46 +25,18 @@ from .matops import _require_symmetric, positive_part, symmetrize
 RIDGE_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
-class WeightSet:
-    """Server-side aggregation weights.
-
-    ``matrices`` has shape (K, d, m_r) in OMA mode (one matrix per worker)
-    and (d, m_r) in NOMA mode (a single matrix for the superposed signal).
-    """
-
-    mode: str  # "oma" | "noma"
-    matrices: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrices, dtype=float)
-        if self.mode == "oma":
-            if m.ndim != 3:
-                raise ValueError(f"OMA weights must be (K, d, m_r), got {m.shape}")
-        elif self.mode == "noma":
-            if m.ndim != 2:
-                raise ValueError(f"NOMA weight must be (d, m_r), got {m.shape}")
-        else:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("weights must be finite")
-        object.__setattr__(self, "matrices", m)
-
-
-def apply_weights(weights: WeightSet, ys: np.ndarray) -> np.ndarray:
-    """Aggregate received blocks into global samples, one per block.
-
-    OMA: theta[s] = sum_k W_k y[s, k] for ys of shape (S, K, m_r).
-    NOMA: theta[s] = W y[s] for ys of shape (S, m_r).
-    """
+def apply_weights(weights: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Aggregate received blocks into global samples, one per block:
+    theta[s] = sum_r W_r y[s, r] for (R, d, m_r) weights and (S, R, m_r) blocks."""
+    w = np.asarray(weights, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if weights.mode == "oma":
-        if ys.ndim != 3 or ys.shape[1] != weights.matrices.shape[0]:
-            raise ValueError(f"expected (S, K={weights.matrices.shape[0]}, m_r) blocks, got {ys.shape}")
-        return np.einsum("kdm,skm->sd", weights.matrices, ys)
-    if ys.ndim != 2:
-        raise ValueError(f"expected (S, m_r) blocks, got {ys.shape}")
-    return ys @ weights.matrices.T
+    if w.ndim != 3:
+        raise ValueError(f"weights must be an (R, d, m_r) stack, got shape {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
+    if ys.ndim != 3 or ys.shape[1:] != (w.shape[0], w.shape[2]):
+        raise ValueError(f"expected (S, R={w.shape[0]}, m_r={w.shape[2]}) blocks, got {ys.shape}")
+    return np.einsum("rdm,srm->sd", w, ys)
 
 
 def empirical_covariance(x: np.ndarray) -> np.ndarray:
@@ -97,18 +72,19 @@ def gaussian_product(covs) -> tuple[np.ndarray, np.ndarray]:
     return precisions, combined
 
 
-def gcmc_weights(decoded: np.ndarray) -> WeightSet:
+def gcmc_weights(decoded: np.ndarray) -> np.ndarray:
     """Inverse-covariance consensus weights fitted on decoded samples.
 
     ``decoded`` has shape (S, K, d) with S >= 2.  The returned square
-    weights satisfy sum_k W_k = I and sum to the precision-weighted mean map.
+    (K, d, d) weights satisfy sum_k W_k = I and sum to the precision-weighted
+    mean map.
     """
     decoded = np.asarray(decoded, dtype=float)
     if decoded.ndim != 3 or decoded.shape[0] < 2:
         raise ValueError(f"expected (S >= 2, K, d) samples, got shape {decoded.shape}")
     covs = np.stack([empirical_covariance(decoded[:, k, :]) for k in range(decoded.shape[1])])
     precisions, combined = gaussian_product(covs)
-    return WeightSet("oma", np.einsum("de,kef->kdf", combined, precisions))
+    return np.einsum("de,kef->kdf", combined, precisions)
 
 
 def _joint_inv_sqrt(cov: np.ndarray, p_scale: float, n0: float) -> np.ndarray:
@@ -155,7 +131,7 @@ def wgcmc_noma_weight_exact(cov0: np.ndarray, n_workers: int, min_p: float, n0: 
     return ((v * diag) @ v.T) / np.sqrt(n_workers)
 
 
-def wgcmc_oma(ys: np.ndarray, p_scales, n0: float, reps: int = 1) -> WeightSet:
+def wgcmc_oma(ys: np.ndarray, p_scales, n0: float, reps: int = 1) -> np.ndarray:
     """Channel-aware OMA weights estimated from noisy received blocks.
 
     ``ys`` has shape (S, K, m_r) with S >= 2.  Repetition blocks are averaged
@@ -179,25 +155,25 @@ def wgcmc_oma(ys: np.ndarray, p_scales, n0: float, reps: int = 1) -> WeightSet:
         for k in range(ys.shape[1])
     ]
     reduced = wgcmc_oma_weights_exact(cov_hats, p_scales, n0_eff)
-    return WeightSet("oma", np.einsum("kde,em->kdm", reduced, fold))
+    return np.einsum("kde,em->kdm", reduced, fold)
 
 
-def wgcmc_noma(ys: np.ndarray, n_workers: int, min_p: float, n0: float, reps: int = 1) -> WeightSet:
+def wgcmc_noma(ys: np.ndarray, n_workers: int, min_p: float, n0: float, reps: int = 1) -> np.ndarray:
     """Channel-aware NOMA weight estimated from noisy superposed blocks.
 
-    ``ys`` has shape (S, m_r) with S >= 2.  The folded-signal covariance
-    minus the effective noise, projected PSD and divided by K min_p,
-    estimates the common subposterior covariance.
+    ``ys`` has shape (S, 1, m_r) with S >= 2, and the result is a (1, d, m_r)
+    stack.  The folded-signal covariance minus the effective noise, projected
+    PSD and divided by K min_p, estimates the common subposterior covariance.
     """
     ys = np.asarray(ys, dtype=float)
-    if ys.ndim != 2 or ys.shape[0] < 2:
-        raise ValueError(f"expected (S >= 2, m_r) blocks, got shape {ys.shape}")
+    if ys.ndim != 3 or ys.shape[0] < 2 or ys.shape[1] != 1:
+        raise ValueError(f"expected (S >= 2, 1, m_r) blocks, got shape {ys.shape}")
     fold = fold_matrix(ys.shape[-1] // reps, reps)
-    folded = ys @ fold.T
+    folded = ys[:, 0, :] @ fold.T
     n0_eff = n0 / reps
     d = fold.shape[0]
     cov0_hat = positive_part(empirical_covariance(folded) - n0_eff * np.eye(d)) / (
         n_workers * min_p
     )
     reduced = wgcmc_noma_weight_exact(cov0_hat, n_workers, min_p, n0_eff)
-    return WeightSet("noma", reduced @ fold)
+    return (reduced @ fold)[None]

@@ -3,9 +3,13 @@
 One communication block carries one model sample per scheduled worker.  The
 transmitted vector is x = H^+ E theta (zero-forcing times a repetition
 encoder), so the receive side sees y = E theta + n exactly; the channel
-matrix only matters for the transmit-power audit.  Orthogonal access (OMA)
-yields one received vector per worker per block, non-orthogonal access
-(NOMA) superimposes all workers into a single vector.
+matrix only matters for the transmit-power audit.
+
+Received blocks have shape (S, R, m_r): S blocks, R receive vectors per
+block.  Orthogonal access (OMA) gives each worker its own vector, R = K;
+non-orthogonal access (NOMA) superimposes all workers into one, R = 1.
+Either way the server sees K signal terms and R independent noise terms,
+the K + R summands of the entropy bound in ``wvcmc``.
 """
 
 from __future__ import annotations
@@ -195,10 +199,9 @@ def transmit_noma(
     n0: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Received NOMA blocks y[s] = E sum_k theta[s, k] + noise, shape (S, m_r)."""
+    """Received NOMA blocks y[s, 0] = E sum_k theta[s, k] + noise, shape (S, 1, m_r)."""
     thetas = np.asarray(thetas, dtype=float)
-    superposed = thetas.sum(axis=1)
-    ys = encoding.encode(superposed)
+    ys = encoding.encode(thetas.sum(axis=1, keepdims=True))
     return ys + np.sqrt(n0) * rng.standard_normal(ys.shape)
 
 

@@ -1,7 +1,8 @@
 """Experiment configuration as a JSON document with fail-fast validation.
 
 Unknown keys are rejected at every level so config typos surface
-immediately instead of silently falling back to defaults.
+immediately instead of silently falling back to defaults, and numbers are
+checked against their fields' types instead of being truncated.
 """
 
 from __future__ import annotations
@@ -38,6 +39,30 @@ def _check_fields(cls, section: dict, where: str) -> None:
     ]
     if missing:
         raise ConfigError(f"{where} is missing required keys {missing}")
+
+
+def _number(hint, value, where: str):
+    """``value`` for a field annotated ``hint``.  An int field takes integral
+    numbers only (2 or 2.0, not 2.7) and a float field any number; neither
+    takes a bool or a string.  Other fields pass through unchanged."""
+    kinds = typing.get_args(hint) or (hint,)
+    kind = int if int in kinds else float if float in kinds else None
+    if kind is None or (value is None and type(None) in kinds):
+        return value
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is int and is_number and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    if kind is float and is_number:
+        return float(value)
+    expected = "an integer" if kind is int else "a number"
+    raise ConfigError(f"{where} must be {expected}, got {value!r}")
+
+
+def _build(cls, section: dict, where: str):
+    """``cls`` from a checked section whose numbers match their fields."""
+    _check_fields(cls, section, where)
+    hints = typing.get_type_hints(cls)
+    return cls(**{k: _number(hints[k], v, f"{where}.{k}") for k, v in section.items()})
 
 
 @dataclass(frozen=True)
@@ -233,15 +258,15 @@ def _parse_scheme(name: str, section: dict):
     if params is None:
         _check_keys(section, (), f"schemes.{name}")
         return None
-    _check_fields(params, section, f"schemes.{name}")
-    return params(**section)
+    return _build(params, section, f"schemes.{name}")
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a parsed JSON document into an ExperimentConfig.
 
     Keys are the fields of ``ExperimentConfig`` and of its section classes;
-    int and float fields are cast, and a null section takes its default.
+    int and float fields are checked by ``_number``, and a null section takes
+    its default.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -257,10 +282,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
         classes = (hint, *typing.get_args(hint))
         section = next((c for c in classes if dataclasses.is_dataclass(c)), None)
         if section is None:
-            values[key] = hint(doc[key]) if hint in (int, float) else doc[key]
+            values[key] = _number(hint, doc[key], key)
         elif doc[key] is not None:
-            _check_fields(section, doc[key], key)
-            values[key] = section(**doc[key])
+            values[key] = _build(section, doc[key], key)
     return ExperimentConfig(**values)
 
 

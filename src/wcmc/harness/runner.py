@@ -23,14 +23,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .. import __version__
-from ..aggregators import (
-    WeightSet,
-    apply_weights,
-    gaussian_product,
-    gcmc_weights,
-    wgcmc_noma,
-    wgcmc_oma,
-)
+from ..aggregators import apply_weights, gaussian_product, gcmc_weights, wgcmc_noma, wgcmc_oma
 from ..baselines import SgldSchedule, best_single_worker, sgld_run
 from ..channel import (
     ChannelModel,
@@ -41,7 +34,7 @@ from ..channel import (
     transmit_noma,
     transmit_oma,
 )
-from ..metrics import ReferencePosterior, kl_ensemble, second_order_error
+from ..metrics import ReferencePosterior, ensemble_predict, kl_ensemble, second_order_error
 from ..posteriors import (
     ProbitShard,
     gaussian_joint_grad_fn,
@@ -120,6 +113,7 @@ class _TrialRunner:
     joint_grad = None
     n_data: int | None = None
     test_covariates: np.ndarray | None = None
+    reference_prediction: np.ndarray | None = None  # reference ensemble on the test rows
 
     def prepare_channels(self):
         cfg, k = self.config, self.config.n_workers
@@ -150,20 +144,17 @@ class _TrialRunner:
             )
         return self._decoded
 
-    def oma_start(self) -> WeightSet:
+    def oma_start(self) -> np.ndarray:
         """The gcmc fit on decoded signals composed with the decoders: the
         gcmc weights, and the point wvcmc-oma starts from."""
         if self._oma_start is None:
-            square = gcmc_weights(self.decoded())
             decoders = np.stack([e.decode_matrix() for e in self.oma_enc])
-            self._oma_start = WeightSet(
-                "oma", np.einsum("kde,kem->kdm", square.matrices, decoders)
-            )
+            self._oma_start = np.einsum("kde,kem->kdm", gcmc_weights(self.decoded()), decoders)
         return self._oma_start
 
-    def noma_start(self) -> WeightSet:
-        """E^+ / K, the NOMA weight wvcmc-noma starts from."""
-        return WeightSet("noma", np.linalg.pinv(self.noma_enc.matrix()) / self.config.n_workers)
+    def noma_start(self) -> np.ndarray:
+        """E^+ / K as a stack of one, the NOMA weight wvcmc-noma starts from."""
+        return np.linalg.pinv(self.noma_enc.matrix())[None] / self.config.n_workers
 
     # ------------------------------------------------------------------
     # scheme implementations, named by config.SCHEMES; each takes the
@@ -190,19 +181,19 @@ class _TrialRunner:
         cfg = self.config
         k = cfg.n_workers
         if mode == "oma":
-            init, enc = self.oma_start(), [e.matrix() for e in self.oma_enc]
+            init, encs = self.oma_start(), self.oma_enc
         else:
-            init, enc = self.noma_start(), self.noma_enc.matrix()
+            init, encs = self.noma_start(), [self.noma_enc]
         ys = self.ys[mode]
         result = run_wvcmc(
             ys,
             init,
-            enc,
+            [e.matrix() for e in encs],
+            k,
             self.joint_grad,
             params.eta / k if params.eta_div_k else params.eta,
             params.t_m,
             substream(cfg.seed, self.trial, f"wvcmc-{mode}"),
-            n_workers=k,
             n_data=self.n_data,
             minibatch_size=params.n_b,
         )
@@ -231,8 +222,8 @@ class _TrialRunner:
         cfg = self.config
         err2 = second_order_error(out.samples, self.reference.moment())
         kl = ""
-        if self.test_covariates is not None and self.reference.samples is not None:
-            kl = kl_ensemble(out.samples, self.reference.samples, self.test_covariates)
+        if self.reference_prediction is not None:
+            kl = kl_ensemble(out.samples, self.reference_prediction, self.test_covariates)
         return {
             "scheme": name,
             "snr_db": cfg.snr_db,
@@ -266,10 +257,10 @@ class _GaussianTrial(_TrialRunner):
         self.test_covariates = None
         self.prepare_channels()
 
-    def noma_start(self) -> WeightSet:
+    def noma_start(self) -> np.ndarray:
         # I/K, as the toy scenario prescribes; the config admits wvcmc-noma
         # on the toy only with identity channels, whose encoder is square.
-        return WeightSet("noma", np.eye(self.dim) / self.config.n_workers)
+        return np.eye(self.dim)[None] / self.config.n_workers
 
 
 class _ProbitTrial(_TrialRunner):
@@ -291,6 +282,8 @@ class _ProbitTrial(_TrialRunner):
             global_shard, config.reference.n_samples, ref_rng, burn_in=config.reference.burn_in
         )
         self.reference = ReferencePosterior(samples=ref_samples)
+        if test_u is not None:
+            self.reference_prediction = ensemble_predict(ref_samples, test_u)
 
         shards_idx = partition(
             dataset,
@@ -427,14 +420,25 @@ def manifest_path(out_path: str) -> str:
 
 
 def write_manifest(out_path: str, config: ExperimentConfig, extra: dict | None = None) -> None:
-    """Record the resolved config and library version next to the result CSV."""
-    doc = {
+    """Append one run's record (library version, master seed, resolved config
+    and ``extra``) to the JSON list next to the result CSV.
+
+    ``write_rows`` appends to the CSV, so the manifest keeps one record per
+    run in the same order as the runs' rows.
+    """
+    path = manifest_path(out_path)
+    runs = []
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            runs = json.load(fh)
+        if isinstance(runs, dict):  # a single-run manifest from an older version
+            runs = [runs]
+    record = {
         "version": __version__,
         "master_seed": config.seed,
         "config": resolved_dict(config),
+        **(extra or {}),
     }
-    if extra:
-        doc.update(extra)
-    with open(manifest_path(out_path), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(runs + [record], fh, indent=2, sort_keys=True)
         fh.write("\n")

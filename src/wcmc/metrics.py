@@ -89,7 +89,7 @@ def ensemble_predict(samples: np.ndarray, covariates: np.ndarray) -> np.ndarray:
     u = np.asarray(covariates, dtype=float)
     single = u.ndim == 1
     margins = np.atleast_2d(u) @ thetas.T  # (n, S)
-    probs = ndtr(margins).mean(axis=1)
+    probs = ndtr(margins, out=margins).mean(axis=1)
     return float(probs[0]) if single else probs
 
 
@@ -102,13 +102,16 @@ def bernoulli_kl(p, q) -> np.ndarray:
 
 def kl_ensemble(
     samples: np.ndarray,
-    reference_samples: np.ndarray,
+    reference_prediction: np.ndarray,
     test_covariates: np.ndarray,
 ) -> float:
-    """Mean Bernoulli KL between produced and reference ensemble predictions."""
+    """Mean Bernoulli KL between the produced ensemble's predictions and the
+    reference's, ``ensemble_predict(reference_samples, test_covariates)``,
+    which a caller scoring several sample sets computes once."""
     u = np.atleast_2d(np.asarray(test_covariates, dtype=float))
     if u.shape[0] < 1:
         raise ValueError("need at least one test covariate")
-    p = ensemble_predict(samples, u)
-    q = ensemble_predict(reference_samples, u)
-    return float(np.mean(bernoulli_kl(p, q)))
+    q = np.asarray(reference_prediction, dtype=float)
+    if q.shape != (u.shape[0],):
+        raise ValueError(f"need one reference prediction per test row, got shape {q.shape}")
+    return float(np.mean(bernoulli_kl(ensemble_predict(samples, u), q)))

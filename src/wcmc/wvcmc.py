@@ -3,9 +3,18 @@
 The target is the free energy of the aggregated-sample distribution, i.e.
 minus the average log joint of the produced samples minus their entropy.
 The entropy itself is intractable, so it is replaced by an entropy-power
-lower bound that splits into per-worker log-determinant terms plus the
-(weight-independent) subposterior entropies; minimizing the resulting upper
-bound with plain SGD gives the weight update loop in ``run_wvcmc``.
+lower bound; minimizing the resulting upper bound with plain SGD gives the
+weight update loop in ``run_wvcmc``.
+
+Both access modes share one layout: R receivers, weights W_r of shape
+(d, m_r), encoders E_r of shape (m_r, d), received blocks of shape
+(S, R, m_r).  Under OMA R = K and receiver r carries worker r; under NOMA
+R = 1 and the one receiver carries all K workers.  The aggregate
+sum_r W_r (E_r sum_{k at r} theta_k + n_r) is then a sum of n = K + R
+independent terms, K signal terms W_r E_r theta_k and R noise terms
+W_r n_r, and the entropy-power inequality bounds its entropy by
+(d/2) log n plus the mean of the n terms' entropies.  The subposterior
+entropies H[p_k] enter that mean as weight-independent constants.
 """
 
 from __future__ import annotations
@@ -14,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregators import WeightSet, apply_weights
+from .aggregators import apply_weights
 from .matops import EIG_RTOL
 
 # A step is rejected (and retried at half length, up to this many times) when
-# it makes any W_k E_k or W_k non-finite or drives it within this relative
+# it makes any W_r E_r or W_r non-finite or drives it within this relative
 # margin of singularity.
 _MAX_HALVINGS = 5
 _SINGULAR_RTOL = 1e-12
@@ -38,74 +47,35 @@ def _logabsdet(a: np.ndarray, what: str) -> float:
     return logdet
 
 
-def entropy_lb_oma(
-    weights: np.ndarray,
-    encodings,
-    n0: float,
-    subposterior_entropies,
-) -> float:
-    """Entropy lower bound for the OMA aggregate sum_k W_k (E_k theta_k + n_k).
+def entropy_lb(weights, encodings, n0: float, n_workers: int, subposterior_entropies) -> float:
+    """Entropy lower bound for the aggregate of K workers over R receivers.
 
-    Equals (d/2) log(2K sqrt(2 pi e N0)) plus the average over the 2K
-    independent summands of log|det W_k E_k| + H[p_k] + (1/2) log det W_k W_k^T.
-    Requires every W_k E_k to be square and nonsingular.
+    With n = K + R summands: (d/2) [log n + (R/n) log(2 pi e N0)] plus
+    (1/n) times sum_r [(K/R) log|det W_r E_r| + (1/2) log det W_r W_r^T]
+    plus (1/n) sum_k H[p_k].  Requires every W_r E_r to be square and
+    nonsingular.
     """
     w = np.asarray(weights, dtype=float)
     e = _stack_encodings(encodings)
     ents = np.asarray(subposterior_entropies, dtype=float)
-    k, d, _ = w.shape
-    if ents.shape != (k,):
+    r, d, _ = w.shape
+    if ents.shape != (n_workers,):
         raise ValueError("need one subposterior entropy per worker")
-    total = 0.5 * d * np.log(2.0 * k * np.sqrt(2.0 * np.pi * np.e * n0))
-    acc = 0.0
-    for j in range(k):
-        acc += _logabsdet(w[j] @ e[j], f"W_{j} E_{j}")
-        acc += ents[j]
+    n = n_workers + r
+    total = 0.5 * d * (np.log(n) + (r / n) * np.log(2.0 * np.pi * np.e * n0))
+    acc = float(ents.sum())
+    for j in range(r):
+        acc += (n_workers / r) * _logabsdet(w[j] @ e[j], f"W_{j} E_{j}")
         acc += 0.5 * _logabsdet(w[j] @ w[j].T, f"W_{j} W_{j}^T")
-    return total + acc / (2.0 * k)
+    return total + acc / n
 
 
-def entropy_lb_noma(
-    weight: np.ndarray,
-    encoding: np.ndarray,
-    n0: float,
-    n_workers: int,
-    subposterior_entropies,
-) -> float:
-    """Entropy lower bound for the NOMA aggregate W (E sum_k theta_k + n).
-
-    Equals (d/2) log[(K+1) (2 pi e N0)^{1/(K+1)}] plus 1/(K+1) times
-    K log|det W E| + (1/2) log det W W^T + sum_k H[p_k].
-    """
-    w = np.asarray(weight, dtype=float)
-    e = np.asarray(encoding, dtype=float)
-    ents = np.asarray(subposterior_entropies, dtype=float)
-    d = w.shape[0]
-    k = n_workers
-    total = 0.5 * d * np.log((k + 1.0) * (2.0 * np.pi * np.e * n0) ** (1.0 / (k + 1.0)))
-    acc = k * _logabsdet(w @ e, "W E")
-    acc += 0.5 * _logabsdet(w @ w.T, "W W^T")
-    acc += float(ents.sum())
-    return total + acc / (k + 1.0)
-
-
-def free_energy_oma(weights, ys, encodings, n0, subposterior_entropies, log_joint, idx=None):
-    """Upper bound on the free energy: -(1/S) sum_s log p(theta_s, Z) - entropy bound."""
-    ws = weights if isinstance(weights, WeightSet) else WeightSet("oma", weights)
-    thetas = apply_weights(ws, ys)
-    data_term = -float(np.mean(log_joint(thetas, idx)))
-    return data_term - entropy_lb_oma(ws.matrices, encodings, n0, subposterior_entropies)
-
-
-def free_energy_noma(
-    weight, ys, encoding, n0, n_workers, subposterior_entropies, log_joint, idx=None
+def free_energy(
+    weights, ys, encodings, n0, n_workers, subposterior_entropies, log_joint, idx=None
 ):
-    ws = weight if isinstance(weight, WeightSet) else WeightSet("noma", weight)
-    thetas = apply_weights(ws, ys)
-    data_term = -float(np.mean(log_joint(thetas, idx)))
-    return data_term - entropy_lb_noma(
-        ws.matrices, encoding, n0, n_workers, subposterior_entropies
-    )
+    """Upper bound on the free energy: -(1/S) sum_s log p(theta_s, Z) - entropy bound."""
+    data_term = -float(np.mean(log_joint(apply_weights(weights, ys), idx)))
+    return data_term - entropy_lb(weights, encodings, n0, n_workers, subposterior_entropies)
 
 
 def _pinv_t(w: np.ndarray) -> np.ndarray:
@@ -113,50 +83,67 @@ def _pinv_t(w: np.ndarray) -> np.ndarray:
     return np.linalg.pinv(w, rcond=EIG_RTOL).T
 
 
-def grad_oma(weights, ys, encodings, joint_grad, idx=None) -> np.ndarray:
-    """Stochastic free-energy gradient with respect to each OMA weight matrix.
+def grad(weights, ys, encodings, n_workers, joint_grad, idx=None) -> np.ndarray:
+    """Stochastic free-energy gradient with respect to each weight W_r.
 
-    The data term is -(1/S) sum_s g(theta_s) y_{k,s}^T with g the log-joint
-    gradient at theta_s = sum_k W_k y_{k,s}; the entropy-bound term is
-    -(1/2K) [(W_k E_k)^{-T} E_k^T + (W_k^+)^T].
+    The data term is -(1/S) sum_s g(theta_s) y_{r,s}^T with g the log-joint
+    gradient at theta_s = sum_r W_r y_{r,s}; the entropy-bound term is
+    -(1/n) [(K/R) (W_r E_r)^{-T} E_r^T + (W_r^+)^T] with n = K + R.
     """
-    ws = weights if isinstance(weights, WeightSet) else WeightSet("oma", weights)
-    w = ws.matrices
+    w = np.asarray(weights, dtype=float)
     e = _stack_encodings(encodings)
     ys = np.asarray(ys, dtype=float)
-    s = ys.shape[0]
-    k = w.shape[0]
-    thetas = apply_weights(ws, ys)
-    g = np.asarray(joint_grad(thetas, idx), dtype=float)
+    s, r = ys.shape[0], w.shape[0]
+    g = np.asarray(joint_grad(apply_weights(w, ys), idx), dtype=float)
+    signal = (n_workers / r) * e  # each receiver carries K/R workers
     out = np.empty_like(w)
-    for j in range(k):
+    for j in range(r):
         data = -(g.T @ ys[:, j, :]) / s
-        we = w[j] @ e[j]
-        ent = np.linalg.solve(we.T, e[j].T) + _pinv_t(w[j])
-        out[j] = data - ent / (2.0 * k)
+        ent = np.linalg.solve((w[j] @ e[j]).T, signal[j].T) + _pinv_t(w[j])
+        out[j] = data - ent / (n_workers + r)
     return out
 
 
-def grad_noma(weight, ys, encoding, n_workers, joint_grad, idx=None) -> np.ndarray:
-    """Stochastic free-energy gradient for the single NOMA weight matrix.
+# Per-mode adapters.  OMA: (K, d, m_r) weights, K encoders, (S, K, m_r)
+# blocks.  NOMA: one (d, m_r) weight, one encoder, (S, m_r) blocks.
 
-    Entropy-bound term: -(1/(K+1)) [K (W E)^{-T} E^T + (W^+)^T].
-    """
-    ws = weight if isinstance(weight, WeightSet) else WeightSet("noma", weight)
-    w = ws.matrices
-    e = np.asarray(encoding, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    thetas = apply_weights(ws, ys)
-    g = np.asarray(joint_grad(thetas, idx), dtype=float)
-    data = -(g.T @ ys) / ys.shape[0]
-    we = w @ e
-    ent = n_workers * np.linalg.solve(we.T, e.T) + _pinv_t(w)
-    return data - ent / (n_workers + 1.0)
+
+def entropy_lb_oma(weights, encodings, n0, subposterior_entropies) -> float:
+    return entropy_lb(weights, encodings, n0, len(weights), subposterior_entropies)
+
+
+def entropy_lb_noma(weight, encoding, n0, n_workers, subposterior_entropies) -> float:
+    return entropy_lb(np.asarray(weight)[None], [encoding], n0, n_workers, subposterior_entropies)
+
+
+def free_energy_oma(weights, ys, encodings, n0, subposterior_entropies, log_joint, idx=None):
+    return free_energy(
+        weights, ys, encodings, n0, len(weights), subposterior_entropies, log_joint, idx
+    )
+
+
+def free_energy_noma(
+    weight, ys, encoding, n0, n_workers, subposterior_entropies, log_joint, idx=None
+):
+    return free_energy(
+        np.asarray(weight)[None], np.asarray(ys)[:, None], [encoding], n0, n_workers,
+        subposterior_entropies, log_joint, idx,
+    )
+
+
+def grad_oma(weights, ys, encodings, joint_grad, idx=None) -> np.ndarray:
+    return grad(weights, ys, encodings, len(weights), joint_grad, idx)
+
+
+def grad_noma(weight, ys, encoding, n_workers, joint_grad, idx=None) -> np.ndarray:
+    return grad(
+        np.asarray(weight)[None], np.asarray(ys)[:, None], [encoding], n_workers, joint_grad, idx
+    )[0]
 
 
 def _well_conditioned(w: np.ndarray, e: np.ndarray) -> bool:
-    """Whether every W_k E_k and W_k of a (K, d, m_r) weight stack and a
-    (K, m_r, d) encoder stack is finite and clear of singularity."""
+    """Whether every W_r E_r and W_r of an (R, d, m_r) weight stack and an
+    (R, m_r, d) encoder stack is finite and clear of singularity."""
     for mats in (w @ e, w):
         if not np.all(np.isfinite(mats)):
             return False
@@ -168,23 +155,23 @@ def _well_conditioned(w: np.ndarray, e: np.ndarray) -> bool:
 
 @dataclass
 class WvcmcResult:
-    weights: WeightSet
+    weights: np.ndarray  # (R, d, m_r)
     samples: np.ndarray
 
 
 def run_wvcmc(
     ys: np.ndarray,
-    init: WeightSet,
+    init: np.ndarray,
     encodings,
+    n_workers: int,
     joint_grad,
     step_size: float,
     n_iterations: int,
     rng: np.random.Generator,
-    n_workers: int | None = None,
     n_data: int | None = None,
     minibatch_size: int | None = None,
 ) -> WvcmcResult:
-    """SGD over the free-energy upper bound from ``init``, in its access mode.
+    """SGD over the free-energy upper bound from the (R, d, m_r) ``init``.
 
     Each iteration draws a fresh minibatch (uniform, without replacement;
     ``minibatch_size=None`` means full batch), takes one gradient step, and
@@ -194,37 +181,26 @@ def run_wvcmc(
     bound's value is never evaluated: only its gradient moves the weights.
     Returns the final weights and their aggregation of all S blocks.
     """
-    oma = init.mode == "oma"
-    if oma:
-        enc = _stack_encodings(encodings)
-    elif n_workers is None:
-        raise ValueError("NOMA runs need n_workers")
-    else:
-        enc = np.asarray(encodings, dtype=float)
+    enc = _stack_encodings(encodings)
     if minibatch_size is not None and (n_data is None or not 1 <= minibatch_size <= n_data):
         raise ValueError("minibatch_size must lie in [1, n_data]")
-    # NOMA's single weight and encoder enter the step check as stacks of one
-    enc_stack = enc.reshape((-1,) + enc.shape[-2:])
 
-    weights = init
+    weights = np.asarray(init, dtype=float)
     for t in range(n_iterations):
         idx = None
         if minibatch_size is not None and minibatch_size < n_data:
             idx = rng.choice(n_data, size=minibatch_size, replace=False)
-        if oma:
-            grad = grad_oma(weights, ys, enc, joint_grad, idx)
-        else:
-            grad = grad_noma(weights, ys, enc, n_workers, joint_grad, idx)
+        direction = grad(weights, ys, enc, n_workers, joint_grad, idx)
         step = step_size
         for _ in range(_MAX_HALVINGS + 1):
-            candidate = weights.matrices - step * grad
-            if _well_conditioned(candidate.reshape((-1,) + candidate.shape[-2:]), enc_stack):
-                weights = WeightSet(init.mode, candidate)
+            candidate = weights - step * direction
+            if _well_conditioned(candidate, enc):
+                weights = candidate
                 break
             step *= 0.5
         else:
             raise RuntimeError(
-                f"every step size in [{2 * step}, {step_size}] leaves some W_k E_k or W_k "
+                f"every step size in [{2 * step}, {step_size}] leaves some W_r E_r or W_r "
                 f"singular or non-finite at iteration {t + 1}"
             )
 

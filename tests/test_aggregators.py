@@ -17,27 +17,44 @@ class TestApplyWeights:
         k, d, s = 4, 3, 6
         rng = np.random.default_rng(0)
         thetas = rng.standard_normal((s, k, d))
-        ws = aggregators.WeightSet("oma", np.stack([np.eye(d) / k] * k))
-        out = aggregators.apply_weights(ws, thetas)
+        out = aggregators.apply_weights(np.stack([np.eye(d) / k] * k), thetas)
         np.testing.assert_allclose(out, thetas.mean(axis=1))
 
     def test_zero_weight_zero_output(self):
-        ws = aggregators.WeightSet("noma", np.zeros((2, 4)))
-        out = aggregators.apply_weights(ws, np.ones((5, 4)))
+        out = aggregators.apply_weights(np.zeros((1, 2, 4)), np.ones((5, 1, 4)))
         np.testing.assert_array_equal(out, np.zeros((5, 2)))
 
     def test_matches_direct_arithmetic(self):
         rng = np.random.default_rng(1)
         w = rng.standard_normal((3, 2, 5))
         ys = rng.standard_normal((7, 3, 5))
-        out = aggregators.apply_weights(aggregators.WeightSet("oma", w), ys)
+        out = aggregators.apply_weights(w, ys)
         oracle = np.stack([sum(w[k] @ ys[s, k] for k in range(3)) for s in range(7)])
         np.testing.assert_allclose(out, oracle, atol=1e-12)
 
     def test_shape_mismatch(self):
-        ws = aggregators.WeightSet("oma", np.zeros((2, 3, 4)))
+        w = np.zeros((2, 3, 4))
         with pytest.raises(ValueError):
-            aggregators.apply_weights(ws, np.zeros((5, 3)))
+            aggregators.apply_weights(w, np.zeros((5, 3)))
+        with pytest.raises(ValueError, match="R=2"):
+            aggregators.apply_weights(w, np.zeros((5, 1, 4)))
+        with pytest.raises(ValueError, match="m_r=4"):
+            aggregators.apply_weights(w, np.zeros((5, 2, 3)))
+        with pytest.raises(ValueError, match="stack"):
+            aggregators.apply_weights(np.zeros((3, 4)), np.zeros((5, 1, 4)))
+
+    def test_non_finite_weights_rejected(self):
+        w = np.zeros((1, 2, 2))
+        w[0, 1, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            aggregators.apply_weights(w, np.zeros((3, 1, 2)))
+
+    def test_one_receiver_is_a_matrix_product(self):
+        # NOMA: one receiver, so the aggregate is W y[s] for every block
+        rng = np.random.default_rng(12)
+        w = rng.standard_normal((1, 3, 6))
+        ys = rng.standard_normal((9, 1, 6))
+        np.testing.assert_allclose(aggregators.apply_weights(w, ys), ys[:, 0] @ w[0].T, atol=1e-12)
 
 
 class TestGcmcWeights:
@@ -45,15 +62,15 @@ class TestGcmcWeights:
         rng = np.random.default_rng(2)
         decoded = rng.standard_normal((40, 1, 3))
         ws = aggregators.gcmc_weights(decoded)
-        np.testing.assert_allclose(ws.matrices[0], np.eye(3), atol=1e-9)
+        np.testing.assert_allclose(ws[0], np.eye(3), atol=1e-9)
 
     def test_equal_covariances_split_evenly(self):
         rng = np.random.default_rng(3)
         base = rng.standard_normal((200, 2))
         decoded = np.stack([base, base.copy()], axis=1)
         ws = aggregators.gcmc_weights(decoded)
-        np.testing.assert_allclose(ws.matrices[0], np.eye(2) / 2, atol=1e-9)
-        np.testing.assert_allclose(ws.matrices[1], np.eye(2) / 2, atol=1e-9)
+        np.testing.assert_allclose(ws[0], np.eye(2) / 2, atol=1e-9)
+        np.testing.assert_allclose(ws[1], np.eye(2) / 2, atol=1e-9)
 
     def test_diagonal_family_matches_hand_oracle(self):
         # Build exact-covariance samples via linear maps of a fixed cloud so
@@ -68,14 +85,14 @@ class TestGcmcWeights:
         precisions = [np.linalg.inv(d) for d in diags]
         combined = np.linalg.inv(sum(precisions))
         for k, p in enumerate(precisions):
-            np.testing.assert_allclose(ws.matrices[k], combined @ p, atol=1e-8)
+            np.testing.assert_allclose(ws[k], combined @ p, atol=1e-8)
 
     def test_weights_sum_to_identity(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             decoded = rng.standard_normal((30, 4, 3))
             ws = aggregators.gcmc_weights(decoded)
-            np.testing.assert_allclose(ws.matrices.sum(axis=0), np.eye(3), atol=1e-9)
+            np.testing.assert_allclose(ws.sum(axis=0), np.eye(3), atol=1e-9)
 
 
 class TestWgcmcExactIdentities:
@@ -117,14 +134,14 @@ class TestWgcmcEstimated:
         ys = rng.standard_normal((60, 3, 4))
         ws_wgcmc = aggregators.wgcmc_oma(ys, [1.0, 1.0, 1.0], n0=0.0)
         ws_gcmc = aggregators.gcmc_weights(ys)
-        np.testing.assert_allclose(ws_wgcmc.matrices, ws_gcmc.matrices, atol=1e-8)
+        np.testing.assert_allclose(ws_wgcmc, ws_gcmc, atol=1e-8)
 
     def test_covariance_estimates_are_psd(self):
         # Strong noise subtraction forces the PSD projection to engage.
         rng = np.random.default_rng(9)
         ys = 0.1 * rng.standard_normal((30, 2, 3))
         ws = aggregators.wgcmc_oma(ys, [1.0, 1.0], n0=1.0)
-        assert np.isfinite(ws.matrices).all()
+        assert np.isfinite(ws).all()
 
     def test_noma_sample_covariance_converges(self):
         # Homogeneous Gaussian simulation: the aggregated samples' covariance
@@ -140,6 +157,7 @@ class TestWgcmcEstimated:
         n0 = 0.3
         ys = channel.transmit_noma(thetas, enc, n0, rng)
         ws = aggregators.wgcmc_noma(ys, k, min_p, n0)
+        assert ws.shape == (1, d, d)
         out = aggregators.apply_weights(ws, ys)
         target = cov0 / k
         sample_cov = out.T @ out / s
@@ -164,3 +182,9 @@ class TestWgcmcEstimated:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             aggregators.wgcmc_oma(np.zeros((1, 2, 3)), [1.0, 1.0], 0.1)
+
+    def test_noma_needs_one_receiver(self):
+        with pytest.raises(ValueError, match="1, m_r"):
+            aggregators.wgcmc_noma(np.ones((10, 3)), 2, 1.0, 0.1)
+        with pytest.raises(ValueError, match="1, m_r"):
+            aggregators.wgcmc_noma(np.ones((10, 2, 3)), 2, 1.0, 0.1)

@@ -150,7 +150,8 @@ class TestTransmission:
         enc = channel.noma_encoding([1.0, 4.0, 2.0], dim=2, reps=1)
         assert enc.scale == 1.0  # min of the worker scales
         ys = channel.transmit_noma(thetas, enc, 0.0, np.random.default_rng(0))
-        np.testing.assert_allclose(ys, thetas.sum(axis=1))
+        assert ys.shape == (6, 1, 2)  # one receiver
+        np.testing.assert_allclose(ys[:, 0], thetas.sum(axis=1))
 
     def test_noma_matches_single_worker_oma_in_law(self):
         thetas = np.zeros((20_000, 1, 2))

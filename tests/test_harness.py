@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from wcmc import metrics
 from wcmc.harness import cli, report, runner
 from wcmc.harness.config import ConfigError, parse_config
 from wcmc.harness.data import (
@@ -199,6 +200,35 @@ class TestConfigValidation:
             schemes={"wgcmc-noma": {}, "wvcmc-oma": {"eta": 1e-3, "t_m": 2}},
         )
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"n_workers": 2.7}, "n_workers must be an integer, got 2.7"),
+            ({"t_blocks": 20.9}, "t_blocks must be an integer, got 20.9"),
+            ({"trials": 1.5}, "trials must be an integer, got 1.5"),
+            ({"seed": True}, "seed must be an integer, got True"),
+            ({"snr_db": "10"}, "snr_db must be a number, got '10'"),
+            (
+                {"schemes": {"wvcmc-oma": {"eta": 1e-3, "t_m": 2.5}}},
+                r"schemes\.wvcmc-oma\.t_m must be an integer, got 2\.5",
+            ),
+            ({"schemes": {"wvcmc-oma": {"eta": "1e-3", "t_m": 2}}}, r"schemes\.wvcmc-oma\.eta"),
+            ({"schemes": {"sgld": {"iterations": True}}}, r"schemes\.sgld\.iterations"),
+            ({"partition": {"zeta": "0.5"}}, r"partition\.zeta must be a number"),
+            ({"reference": {"n_samples": 2000.5}}, r"reference\.n_samples must be an integer"),
+        ],
+    )
+    def test_numbers_are_checked_not_truncated(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            toy_config(**overrides)
+
+    def test_integral_and_integer_numbers_accepted(self):
+        cfg = toy_config(t_blocks=80.0, snr_db=5, schemes={"sgld": {"n_b": None, "alpha": 1}})
+        assert cfg.t_blocks == 80 and isinstance(cfg.t_blocks, int)
+        assert cfg.snr_db == 5.0 and isinstance(cfg.snr_db, float)
+        assert cfg.schemes["sgld"].n_b is None
+        assert isinstance(cfg.schemes["sgld"].alpha, float)
+
     def test_csv_scenario_needs_csv_section(self):
         with pytest.raises(ConfigError, match="csv"):
             parse_config(
@@ -265,10 +295,18 @@ class TestResultFiles:
         cfg = toy_config(trials=1, schemes={"gcmc": {}})
         out = tmp_path / "results.csv"
         write_manifest(out, cfg, extra={"rows_written": 3})
-        doc = json.loads((tmp_path / "results.manifest.json").read_text())
+        [doc] = json.loads((tmp_path / "results.manifest.json").read_text())
         assert doc["master_seed"] == 11
         assert doc["config"]["scenario"] == "gaussian-toy"
         assert doc["rows_written"] == 3
+
+    def test_manifest_from_older_version_kept(self, tmp_path):
+        # a manifest holding one run's record as a bare object becomes the first record
+        out = tmp_path / "results.csv"
+        (tmp_path / "results.manifest.json").write_text(json.dumps({"master_seed": 1}))
+        write_manifest(out, toy_config(), extra={"rows_written": 6})
+        runs = json.loads((tmp_path / "results.manifest.json").read_text())
+        assert [run["master_seed"] for run in runs] == [1, 11]
 
     def test_report_summary(self, tmp_path):
         cfg = toy_config(trials=3, schemes={"gcmc": {}, "wgcmc-oma": {}})
@@ -331,6 +369,36 @@ class TestEndToEndScenarios:
         with pytest.raises(ValueError, match="8 covariates.*dim=5"):
             run_experiment(cfg)
         assert chains == []
+
+    def test_reference_prediction_computed_once_per_trial(self, monkeypatch):
+        # every scheme's KL compares against one prediction of the reference ensemble
+        predict = metrics.ensemble_predict
+        sizes = []
+
+        def counting(samples, covariates):
+            sizes.append(len(samples))
+            return predict(samples, covariates)
+
+        monkeypatch.setattr(metrics, "ensemble_predict", counting)
+        monkeypatch.setattr(runner, "ensemble_predict", counting, raising=False)
+        cfg = parse_config(
+            {
+                "scenario": "probit-synthetic",
+                "n_workers": 2,
+                "t_blocks": 20,
+                "snr_db": 10.0,
+                "trials": 1,
+                "seed": 8,
+                "dim": 2,
+                "data": {"n": 200, "theta_star": [0.5, -0.5], "n_test": 30},
+                "reference": {"n_samples": 1000, "burn_in": 10},
+                "schemes": {"gcmc": {}, "wgcmc-oma": {}, "wgcmc-noma": {}, "best-single": {}},
+            }
+        )
+        rows = run_experiment(cfg)
+        assert all(np.isfinite(row["kl"]) for row in rows)
+        assert sizes.count(1000) == 1
+        assert len(sizes) == 1 + len(rows)
 
     def test_worker_count_sweep_with_scaled_step(self):
         cfg = toy_config(
@@ -444,8 +512,35 @@ class TestCli:
         with open(out_path) as fh:
             rows = list(csv.DictReader(fh))
         assert {r["snr_db"] for r in rows} == {"0.0", "10.0"}
-        manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
+        [manifest] = json.loads((tmp_path / "sweep.manifest.json").read_text())
         assert manifest["sweep"] == {"axis": "snr", "values": [0.0, 10.0]}
+        assert manifest["rows_written"] == 2
+
+    def test_two_runs_keep_both_records(self, tmp_path):
+        # the CSV gains both runs' rows, and the manifest one record per run, in row order
+        cfg_path = tmp_path / "toy.json"
+        out_path = tmp_path / "rows.csv"
+        doc = {
+            "scenario": "gaussian-toy",
+            "n_workers": 3,
+            "t_blocks": 30,
+            "snr_db": 10.0,
+            "trials": 2,
+            "seed": 5,
+            "schemes": {"gcmc": {}},
+        }
+        cfg_path.write_text(json.dumps(doc))
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out_path)]) == 0
+        cfg_path.write_text(json.dumps(dict(doc, trials=3, snr_db=0.0)))
+        argv = ["run", "--config", str(cfg_path), "--seed", "99", "--out", str(out_path)]
+        assert cli.main(argv) == 0
+        with open(out_path) as fh:
+            rows = list(csv.DictReader(fh))
+        runs = json.loads((tmp_path / "rows.manifest.json").read_text())
+        assert [run["rows_written"] for run in runs] == [2, 3]
+        assert [run["master_seed"] for run in runs] == [5, 99]
+        assert [run["config"]["snr_db"] for run in runs] == [10.0, 0.0]
+        assert [r["seed"] for r in rows] == ["5"] * 2 + ["99"] * 3
 
     def test_seed_override_changes_results(self, tmp_path):
         cfg_path = tmp_path / "toy.json"

@@ -72,7 +72,19 @@ class TestKlEnsemble:
         rng = np.random.default_rng(4)
         samples = rng.standard_normal((2000, 2))
         us = rng.standard_normal((20, 2))
-        assert metrics.kl_ensemble(samples, samples, us) == 0.0
+        assert metrics.kl_ensemble(samples, metrics.ensemble_predict(samples, us), us) == 0.0
+
+    def test_equals_kl_of_the_two_predictions(self):
+        rng = np.random.default_rng(6)
+        samples = rng.standard_normal((50, 3))
+        reference = 0.5 * rng.standard_normal((3000, 3))
+        us = rng.standard_normal((25, 3))
+        p = np.array([np.mean(ndtr(samples @ u)) for u in us])
+        q = np.array([np.mean(ndtr(reference @ u)) for u in us])
+        value = metrics.kl_ensemble(samples, metrics.ensemble_predict(reference, us), us)
+        assert value == pytest.approx(float(np.mean(metrics.bernoulli_kl(p, q))), rel=1e-12)
+        with pytest.raises(ValueError, match="one reference prediction per test row"):
+            metrics.kl_ensemble(samples, q[:-1], us)
 
     def test_hand_value(self):
         # KL(Bern(0.9) || Bern(0.5)) = 0.9 ln 1.8 + 0.1 ln 0.2 = 0.3681.

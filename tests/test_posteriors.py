@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.special import log_ndtr, ndtr
 
 from wcmc import aggregators, posteriors
@@ -183,6 +184,16 @@ class TestTruncatedNormal:
     def test_scalar_interface(self):
         value = posteriors.sample_truncated_normal(0.3, np.random.default_rng(9))
         assert isinstance(value, float) and value > 0
+
+    # 3.9 takes the inverse-CDF branch, 4.1 the rejection branch past _TAIL_CUTOFF
+    @pytest.mark.parametrize("alpha, seed", [(-2.0, 31), (0.0, 32), (3.9, 33), (4.1, 34)])
+    def test_law_matches_scipy_truncnorm(self, alpha, seed):
+        assert (alpha <= posteriors._TAIL_CUTOFF) == (alpha < 4.0)
+        draws = posteriors._truncated_std_normal_above(
+            np.full(20_000, alpha), np.random.default_rng(seed)
+        )
+        law = stats.truncnorm(alpha, np.inf)
+        assert stats.kstest(draws, law.cdf).pvalue > 1e-3
 
 
 def grid_posterior_mean(shard, half_width=6.0, nodes=400):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wcmc import aggregators, channel, posteriors, wvcmc
-from wcmc.aggregators import WeightSet, apply_weights
+from wcmc.aggregators import apply_weights
 from wcmc.harness import config, runner
 
 
@@ -182,6 +182,82 @@ class TestGradients:
         np.testing.assert_allclose(g1, g2, atol=1e-12)
 
 
+def receiver_config(rng, k, receivers, d, reps=2):
+    """Weights, encoders, blocks and subposteriors for K workers over R receivers."""
+    weights, encs, covs = gaussian_config(rng, receivers, d, reps)
+    ys = rng.standard_normal((5, receivers, reps * d))
+    return weights, [e.matrix() for e in encs], ys, [random_pd(rng, d) for _ in range(k)]
+
+
+class TestSharedBound:
+    """One bound and one gradient over (R, K): R = K is OMA, R = 1 is NOMA."""
+
+    def test_noma_closed_form(self):
+        # (d/2) log[(K+1) (2 pi e N0)^{1/(K+1)}] + [K log|det W E| + (1/2) log det W W^T
+        # + sum_k H_k] / (K+1), with a (d, 2d) weight and encoder
+        rng = np.random.default_rng(20)
+        k, d, n0 = 3, 2, 0.3
+        w, e, _, _ = receiver_config(rng, k, 1, d)
+        ents = rng.uniform(0.5, 2.0, size=k)
+        expected = 0.5 * d * np.log((k + 1) * (2 * np.pi * np.e * n0) ** (1 / (k + 1))) + (
+            k * np.linalg.slogdet(w[0] @ e[0])[1]
+            + 0.5 * np.linalg.slogdet(w[0] @ w[0].T)[1]
+            + ents.sum()
+        ) / (k + 1)
+        assert wvcmc.entropy_lb(w, e, n0, k, ents) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("receivers", [1, 3])
+    def test_bound_below_gaussian_entropy_with_repetition(self, receivers):
+        rng = np.random.default_rng(21 + receivers)
+        k, d, n0 = 3, 2, 0.4
+        for _ in range(50):
+            w, e, _, covs = receiver_config(rng, k, receivers, d)
+            ents = [posteriors.GaussianSubposterior(c).entropy() for c in covs]
+            # worker k sits at receiver k under OMA, every worker at receiver 0 under NOMA
+            at = [min(j, receivers - 1) for j in range(k)]
+            cov = sum(w[r] @ w[r].T * n0 for r in range(receivers))
+            cov = cov + sum(w[at[j]] @ e[at[j]] @ covs[j] @ (w[at[j]] @ e[at[j]]).T for j in range(k))
+            truth = 0.5 * np.linalg.slogdet(2 * np.pi * np.e * cov)[1]
+            assert truth >= wvcmc.entropy_lb(w, e, n0, k, ents) - 1e-9
+
+    @pytest.mark.parametrize("receivers", [1, 3])
+    def test_gradient_matches_finite_difference(self, receivers):
+        rng = np.random.default_rng(23 + receivers)
+        k, d, n0, h = 3, 2, 0.4, 1e-6
+        w, e, ys, _ = receiver_config(rng, k, receivers, d)
+        ents = rng.uniform(0.5, 2.0, size=k)
+        u = rng.standard_normal((15, d))
+        v = (rng.uniform(size=15) < 0.5).astype(int)
+        grad_fn = posteriors.probit_joint_grad_fn(u, v, 1.5)
+        val_fn = posteriors.probit_log_joint_fn(u, v, 1.5)
+        analytic = wvcmc.grad(w, ys, e, k, grad_fn)
+        fd = np.zeros_like(w)
+        for index in np.ndindex(*w.shape):
+            wp, wm = w.copy(), w.copy()
+            wp[index] += h
+            wm[index] -= h
+            fd[index] = (
+                wvcmc.free_energy(wp, ys, e, n0, k, ents, val_fn)
+                - wvcmc.free_energy(wm, ys, e, n0, k, ents, val_fn)
+            ) / (2 * h)
+        np.testing.assert_allclose(analytic, fd, rtol=1e-4, atol=1e-7)
+
+    def test_one_receiver_run(self):
+        rng = np.random.default_rng(25)
+        k, d, s = 3, 2, 60
+        thetas = rng.standard_normal((s, k, d))
+        enc = channel.RepetitionEncoding(d, 2, 0.8)
+        ys = channel.transmit_noma(thetas, enc, 0.2, rng)
+        init = np.linalg.pinv(enc.matrix())[None] / k
+        result = wvcmc.run_wvcmc(
+            ys, init, [enc.matrix()], k, posteriors.gaussian_joint_grad_fn(np.eye(d) / k),
+            step_size=1e-3, n_iterations=10, rng=np.random.default_rng(3),
+        )
+        assert result.weights.shape == (1, d, 2 * d)
+        assert not np.array_equal(result.weights, init)
+        np.testing.assert_array_equal(result.samples, apply_weights(result.weights, ys))
+
+
 class TestRunWvcmc:
     def _setup(self, rng, k=3, d=2, s=40):
         covs = [random_pd(rng, d) for _ in range(k)]
@@ -197,44 +273,47 @@ class TestRunWvcmc:
     def test_zero_step_size_keeps_init(self):
         rng = np.random.default_rng(6)
         covs, encs, n0, ys, global_cov = self._setup(rng)
-        init = WeightSet("oma", np.stack([np.eye(2) / 3] * 3))
+        init = np.stack([np.eye(2) / 3] * 3)
         result = wvcmc.run_wvcmc(
             ys,
             init,
             [e.matrix() for e in encs],
+            3,
             posteriors.gaussian_joint_grad_fn(global_cov),
             step_size=0.0,
             n_iterations=5,
             rng=np.random.default_rng(0),
         )
-        np.testing.assert_array_equal(result.weights.matrices, init.matrices)
+        np.testing.assert_array_equal(result.weights, init)
         np.testing.assert_allclose(result.samples, apply_weights(init, ys))
 
     def test_fixed_seed_trajectory_identical(self):
         rng = np.random.default_rng(7)
         covs, encs, n0, ys, global_cov = self._setup(rng)
-        init = WeightSet("oma", np.stack([np.eye(2) / 3] * 3))
+        init = np.stack([np.eye(2) / 3] * 3)
         kwargs = dict(
             encodings=[e.matrix() for e in encs],
+            n_workers=3,
             joint_grad=posteriors.gaussian_joint_grad_fn(global_cov),
             step_size=1e-3,
             n_iterations=20,
         )
         a = wvcmc.run_wvcmc(ys, init, rng=np.random.default_rng(1), **kwargs)
         b = wvcmc.run_wvcmc(ys, init, rng=np.random.default_rng(1), **kwargs)
-        assert not np.array_equal(a.weights.matrices, init.matrices)
-        np.testing.assert_array_equal(a.weights.matrices, b.weights.matrices)
+        assert not np.array_equal(a.weights, init)
+        np.testing.assert_array_equal(a.weights, b.weights)
         np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_objective_decreases_on_toy(self):
         rng = np.random.default_rng(8)
         covs, encs, n0, ys, global_cov = self._setup(rng, s=400)
-        init = WeightSet("oma", np.stack([np.eye(2) / 3] * 3))
+        init = np.stack([np.eye(2) / 3] * 3)
         mats = [e.matrix() for e in encs]
         result = wvcmc.run_wvcmc(
             ys,
             init,
             mats,
+            3,
             posteriors.gaussian_joint_grad_fn(global_cov),
             step_size=2e-3,
             n_iterations=150,
@@ -248,13 +327,14 @@ class TestRunWvcmc:
     def test_all_halvings_rejected_raises(self):
         rng = np.random.default_rng(10)
         covs, encs, n0, ys, global_cov = self._setup(rng)
-        init = WeightSet("oma", np.stack([np.eye(2) / 3] * 3))
+        init = np.stack([np.eye(2) / 3] * 3)
         infinite_grad = lambda thetas, idx=None: np.full_like(thetas, np.inf)
         with pytest.raises(RuntimeError, match=r"iteration 1\b"), np.errstate(invalid="ignore"):
             wvcmc.run_wvcmc(
                 ys,
                 init,
                 [e.matrix() for e in encs],
+                3,
                 infinite_grad,
                 step_size=1e-3,
                 n_iterations=3,
@@ -271,7 +351,7 @@ class TestRunWvcmc:
         weights = np.stack([np.eye(2) / 3] * 3)
         s = ys.shape[0]
         for _ in range(4000):
-            thetas = apply_weights(WeightSet("oma", weights), ys)
+            thetas = apply_weights(weights, ys)
             g = grad_fn(thetas)
             data_grad = np.stack([-(g.T @ ys[:, k, :]) / s for k in range(3)])
             weights = weights - 5e-3 * data_grad
@@ -349,7 +429,7 @@ class TestInitWeights:
 
     def test_toy_noma_identity_over_k(self):
         trial, _ = start_trial(n_workers=8, t_blocks=80)
-        np.testing.assert_array_equal(trial.noma_start().matrices, np.eye(5) / 8)
+        np.testing.assert_array_equal(trial.noma_start(), np.eye(5)[None] / 8)
 
     def test_probit_noma_scaled_pseudoinverse(self):
         trial, _ = start_trial(
@@ -359,15 +439,15 @@ class TestInitWeights:
         )
         assert trial.noma_enc.reps == 2
         pinv = np.linalg.pinv(trial.noma_enc.matrix())
-        np.testing.assert_allclose(trial.noma_start().matrices, pinv / 3)
+        np.testing.assert_allclose(trial.noma_start(), pinv[None] / 3)
 
     def test_oma_composes_decoders(self):
         trial, _ = start_trial(channel="iid-gaussian", schemes={"gcmc": {}})
         square = aggregators.gcmc_weights(trial.decoded())
-        start = trial.oma_start().matrices
+        start = trial.oma_start()
         for k, enc in enumerate(trial.oma_enc):
             assert enc.reps == 2
-            np.testing.assert_allclose(start[k], square.matrices[k] @ enc.decode_matrix())
+            np.testing.assert_allclose(start[k], square[k] @ enc.decode_matrix())
 
     def test_zero_iterations_reproduce_gcmc_exactly(self):
         trial, cfg = start_trial()
