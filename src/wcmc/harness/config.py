@@ -103,9 +103,9 @@ class SgldParams:
 class Scheme:
     """How a scheme runs: its access mode ("oma", "noma", or None when it
     uses no channel), its parameter class (None when it takes no
-    parameters) and the name of the ``runner._TrialRunner`` method that
-    runs it.  The method is named, not referenced, so that configs can be
-    parsed without importing the runner."""
+    parameters) and the name of the ``runner.Link`` method that runs it.
+    The method is named, not referenced, so that configs can be parsed
+    without importing the runner."""
 
     mode: str | None
     params: type | None

@@ -1,11 +1,13 @@
 """End-to-end experiment execution.
 
-One trial covers: data generation and partitioning, local posterior
-sampling at the workers, power scaling, simulated transmission over the
-configured number of communication blocks (S = T/K received samples per
-worker under orthogonal access, S = T superposed samples otherwise),
-aggregation or weight optimization, and metric evaluation.  Every source of
-randomness is a counter-based substream keyed by (master seed, trial,
+A trial is a world and a link.  The world is what one-shot consensus fixes:
+the data, the reference posterior's second moment and test prediction, the
+partition and the workers' local posterior draws, built by one function per
+scenario family.  The link is what the sweeps vary: power scaling,
+simulated transmission over the configured number of communication blocks
+(S = T/K received samples per worker under orthogonal access, S = T
+superposed samples otherwise), each scheme and its metrics.  Every source
+of randomness is a counter-based substream keyed by (master seed, trial,
 stage), so adding schemes or running trials in parallel never perturbs
 existing streams.
 """
@@ -16,8 +18,10 @@ import csv
 import json
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -34,7 +38,7 @@ from ..channel import (
     transmit_noma,
     transmit_oma,
 )
-from ..metrics import ReferencePosterior, ensemble_predict, kl_ensemble, second_order_error
+from ..metrics import ensemble_predict, kl_ensemble, second_moment, second_order_error
 from ..posteriors import (
     ProbitShard,
     gaussian_joint_grad_fn,
@@ -42,7 +46,7 @@ from ..posteriors import (
     probit_joint_grad_fn,
 )
 from ..wvcmc import run_wvcmc
-from .config import SCHEMES, ExperimentConfig, resolved_dict
+from .config import SCHEMES, ExperimentConfig, _number, resolved_dict
 from .data import LabeledDataset, gen_gaussian_scenario, gen_probit_data, ingest_csv, partition
 
 RESULT_COLUMNS = (
@@ -81,88 +85,173 @@ def substream(master_seed: int, trial: int, stage: str, extra: int = 0) -> Gener
 
 
 @dataclass(frozen=True)
+class World:
+    """One trial's inputs that no link setting changes, shared read-only by
+    every scheme.  ``n_data`` is None for the Gaussian toy, which has no data
+    set, and the test fields are None without test rows."""
+
+    worker_samples: np.ndarray  # (s_max, K, d)
+    reference_moment: np.ndarray  # (d, d)
+    joint_grad: Callable
+    n_data: int | None = None
+    test_covariates: np.ndarray | None = None
+    reference_prediction: np.ndarray | None = None
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+
+def _worker_draws(config: ExperimentConfig, trial: int, draw) -> np.ndarray:
+    """(s_max, K, d) stack of ``draw(k, s_max, rng)`` over the workers, each
+    on its own substream; no draws when no scheme transmits."""
+    k, s = config.n_workers, max(config.s_oma * config.uses_oma, config.s_noma * config.uses_noma)
+    if not s:
+        return np.empty((0, k, config.dim))
+    draws = [draw(j, s, substream(config.seed, trial, "worker", j)) for j in range(k)]
+    return np.stack(draws, axis=1)
+
+
+def gaussian_world(config: ExperimentConfig, trial: int) -> World:
+    subs = gen_gaussian_scenario(config.n_workers, config.dim, config.subposteriors)
+    _, global_cov = gaussian_product([s.cov for s in subs])
+    draws = _worker_draws(config, trial, lambda j, s, rng: subs[j].sample(rng, size=s))
+    # Zero-mean target: the exact covariance doubles as the second moment.
+    return World(draws, global_cov, gaussian_joint_grad_fn(global_cov))
+
+
+def probit_world(config: ExperimentConfig, trial: int) -> World:
+    """Data, partition and minibatch sizes are checked before any Gibbs chain runs."""
+    dataset, test_u = _load_data(config, substream(config.seed, trial, "data"))
+    if dataset.dim != config.dim:
+        raise ValueError(
+            f"the data set has {dataset.dim} covariates but the config sets dim={config.dim}"
+        )
+    shards_idx = partition(
+        dataset,
+        config.n_workers,
+        substream(config.seed, trial, "partition"),
+        rule=config.partition.rule,
+        zeta=config.partition.zeta,
+    )
+    for name, params in config.schemes.items():
+        n_b = getattr(params, "n_b", None)
+        if n_b is not None and n_b > dataset.size:
+            raise ValueError(
+                f"{name}: minibatch size n_b={n_b} exceeds the {dataset.size} training rows"
+            )
+    ref_samples = gibbs_probit_sampler(
+        ProbitShard(dataset.covariates, dataset.labels, config.prior_variance),
+        config.reference.n_samples,
+        substream(config.seed, trial, "reference"),
+        burn_in=config.reference.burn_in,
+    )
+    k_prior = config.n_workers * config.prior_variance  # each shard takes the prior^(1/K)
+    shards = [ProbitShard(dataset.covariates[i], dataset.labels[i], k_prior) for i in shards_idx]
+    draws = _worker_draws(
+        config,
+        trial,
+        lambda j, s, rng: gibbs_probit_sampler(shards[j], s, rng, burn_in=config.gibbs_burn_in),
+    )
+    return World(
+        draws,
+        second_moment(ref_samples),
+        probit_joint_grad_fn(dataset.covariates, dataset.labels, config.prior_variance),
+        n_data=dataset.size,
+        test_covariates=test_u,
+        reference_prediction=None if test_u is None else ensemble_predict(ref_samples, test_u),
+    )
+
+
+def _load_data(config: ExperimentConfig, rng: Generator):
+    """The training set and the test covariates (None without test rows)."""
+    if config.scenario == "probit-synthetic":
+        dataset = gen_probit_data(config.data.n, config.dim, config.data.theta_star, rng)
+        n_test = config.data.n_test
+        return dataset, rng.standard_normal((n_test, config.dim)) if n_test > 0 else None
+    full = ingest_csv(config.csv.path, config.csv.label_column, config.csv.pca_dim)
+    if config.csv.n_test > 0:
+        if config.csv.n_test >= full.size:
+            raise ValueError("csv n_test must leave at least one training row")
+        order = rng.permutation(full.size)
+        test = order[: config.csv.n_test]
+        train = np.sort(order[config.csv.n_test :])
+        dataset = LabeledDataset(full.covariates[train], full.labels[train], note=full.note)
+        return dataset, full.covariates[test]
+    return full, None
+
+
+def build_world(config: ExperimentConfig, trial: int) -> World:
+    builder = gaussian_world if config.scenario == "gaussian-toy" else probit_world
+    return builder(config, trial)
+
+
+@dataclass(frozen=True)
 class SchemeOutput:
     samples: np.ndarray
     computed_gradients: int = 0
 
 
-class _TrialRunner:
-    """Shared wiring for one trial: receptions are built once and reused by
-    every scheme that consumes the same access mode."""
+class Link:
+    """One trial's link over its world.  The received blocks of each access
+    mode are built once and shared by the schemes of that mode.  The
+    ``run_*`` methods are the ones ``config.SCHEMES`` names; each takes its
+    scheme's access mode and parameters and reads the world, never writes it."""
 
-    def __init__(self, config: ExperimentConfig, trial: int):
-        self.config = config
-        self.trial = trial
-        self.dim = config.dim
+    def __init__(self, world: World, config: ExperimentConfig, trial: int):
+        self.world, self.config, self.trial = world, config, trial
+        dim, k = config.dim, config.n_workers
         if config.channel_kind == "identity":
             self.reps = 1
-            self.channel = ChannelModel("identity", self.dim, self.dim)
+            channel = ChannelModel("identity", dim, dim)
         else:
             self.reps = 2
-            self.channel = ChannelModel("iid-gaussian", 2 * self.dim + 2, 2 * self.dim)
-        self.power = PowerConfig.from_snr_db(config.snr_db, self.channel.m_r)
-        self.gram = self.channel.mean_inverse_gram()
-        self.n0 = self.power.n0
-        self.s_oma = config.s_oma if config.uses_oma else 0
-        self.s_noma = config.s_noma if config.uses_noma else 0
-        self.s_max = max(self.s_oma, self.s_noma)
-
-    # subclasses fill these in
-    worker_samples: np.ndarray  # (s_max, K, d)
-    reference: ReferencePosterior
-    joint_grad = None
-    n_data: int | None = None
-    test_covariates: np.ndarray | None = None
-    reference_prediction: np.ndarray | None = None  # reference ensemble on the test rows
-
-    def prepare_channels(self):
-        cfg, k = self.config, self.config.n_workers
+            channel = ChannelModel("iid-gaussian", 2 * dim + 2, 2 * dim)
+        power = PowerConfig.from_snr_db(config.snr_db, channel.m_r)
+        gram = channel.mean_inverse_gram()
+        self.n0 = power.n0
         self.ys = {}  # received blocks by access mode
-        self._decoded = None
-        self._oma_start = None
-        for mode, s in (("oma", self.s_oma), ("noma", self.s_noma)):
+        for mode, s in (
+            ("oma", config.s_oma * config.uses_oma),
+            ("noma", config.s_noma * config.uses_noma),
+        ):
             if not s:
                 continue
-            thetas = self.worker_samples[:s]
-            scales = [
-                power_scale(thetas[:, j], self.gram, self.reps, self.power.p) for j in range(k)
-            ]
-            rng = substream(cfg.seed, self.trial, f"{mode}-noise")
+            thetas = world.worker_samples[:s]
+            scales = [power_scale(thetas[:, j], gram, self.reps, power.p) for j in range(k)]
+            rng = substream(config.seed, trial, f"{mode}-noise")
             if mode == "oma":
-                self.oma_enc = oma_encodings(scales, self.dim, self.reps)
+                self.oma_enc = oma_encodings(scales, dim, self.reps)
                 self.ys[mode] = transmit_oma(thetas, self.oma_enc, self.n0, rng)
             else:
-                self.noma_enc = noma_encoding(scales, self.dim, self.reps)
+                self.noma_enc = noma_encoding(scales, dim, self.reps)
                 self.ys[mode] = transmit_noma(thetas, self.noma_enc, self.n0, rng)
 
+    @cached_property
     def decoded(self) -> np.ndarray:
         """Per-worker decoded signals E_k^+ y_k, shape (S, K, d)."""
-        if self._decoded is None:
-            ys = self.ys["oma"]
-            self._decoded = np.stack(
-                [enc.decode(ys[:, j, :]) for j, enc in enumerate(self.oma_enc)], axis=1
-            )
-        return self._decoded
+        ys = self.ys["oma"]
+        return np.stack([enc.decode(ys[:, j, :]) for j, enc in enumerate(self.oma_enc)], axis=1)
 
+    @cached_property
     def oma_start(self) -> np.ndarray:
         """The gcmc fit on decoded signals composed with the decoders: the
         gcmc weights, and the point wvcmc-oma starts from."""
-        if self._oma_start is None:
-            decoders = np.stack([e.decode_matrix() for e in self.oma_enc])
-            self._oma_start = np.einsum("kde,kem->kdm", gcmc_weights(self.decoded()), decoders)
-        return self._oma_start
+        decoders = np.stack([e.decode_matrix() for e in self.oma_enc])
+        return np.einsum("kde,kem->kdm", gcmc_weights(self.decoded), decoders)
 
+    @property
     def noma_start(self) -> np.ndarray:
-        """E^+ / K as a stack of one, the NOMA weight wvcmc-noma starts from."""
-        return np.linalg.pinv(self.noma_enc.matrix())[None] / self.config.n_workers
-
-    # ------------------------------------------------------------------
-    # scheme implementations, named by config.SCHEMES; each takes the
-    # scheme's access mode and parameters
-    # ------------------------------------------------------------------
+        """E^+ / K as a stack of one, the NOMA weight wvcmc-noma starts from;
+        I/K on the toy, as it prescribes (its config needs the identity channel)."""
+        k = self.config.n_workers
+        if self.world.n_data is None:
+            return np.eye(self.config.dim)[None] / k
+        return np.linalg.pinv(self.noma_enc.matrix())[None] / k
 
     def run_gcmc(self, mode, params) -> SchemeOutput:
-        return SchemeOutput(apply_weights(self.oma_start(), self.ys[mode]))
+        return SchemeOutput(apply_weights(self.oma_start, self.ys[mode]))
 
     def run_wgcmc(self, mode, params) -> SchemeOutput:
         ys = self.ys[mode]
@@ -173,57 +262,57 @@ class _TrialRunner:
         return SchemeOutput(apply_weights(ws, ys))
 
     def run_best_single(self, mode, params) -> SchemeOutput:
-        metric = lambda s: second_order_error(s, self.reference.moment())
-        _, samples = best_single_worker(np.swapaxes(self.decoded(), 0, 1), metric)
+        metric = lambda s: second_order_error(s, self.world.reference_moment)
+        _, samples = best_single_worker(np.swapaxes(self.decoded, 0, 1), metric)
         return SchemeOutput(samples)
 
     def run_wvcmc(self, mode, params) -> SchemeOutput:
-        cfg = self.config
+        cfg, n_data = self.config, self.world.n_data
         k = cfg.n_workers
         if mode == "oma":
-            init, encs = self.oma_start(), self.oma_enc
+            init, encs = self.oma_start, self.oma_enc
         else:
-            init, encs = self.noma_start(), [self.noma_enc]
+            init, encs = self.noma_start, [self.noma_enc]
         ys = self.ys[mode]
         result = run_wvcmc(
             ys,
             init,
             [e.matrix() for e in encs],
             k,
-            self.joint_grad,
+            self.world.joint_grad,
             params.eta / k if params.eta_div_k else params.eta,
             params.t_m,
             substream(cfg.seed, self.trial, f"wvcmc-{mode}"),
-            n_data=self.n_data,
+            n_data=n_data,
             minibatch_size=params.n_b,
         )
-        batch = params.n_b if params.n_b is not None else (self.n_data or 1)
+        batch = params.n_b if params.n_b is not None else (n_data or 1)
         return SchemeOutput(result.samples, computed_gradients=params.t_m * ys.shape[0] * batch)
 
     def run_sgld(self, mode, params) -> SchemeOutput:
-        rng = substream(self.config.seed, self.trial, "sgld")
+        cfg, n_data = self.config, self.world.n_data
+        rng = substream(cfg.seed, self.trial, "sgld")
         schedule = SgldSchedule(
             alpha=params.alpha,
             beta=params.beta,
             gamma=params.gamma,
             n_iterations=params.iterations,
             burn_in=params.burn_in,
-            minibatch_size=params.n_b if self.n_data is not None else None,
+            minibatch_size=params.n_b if n_data is not None else None,
         )
-        theta0 = self.sgld_init(rng)
-        samples = sgld_run(self.joint_grad, schedule, theta0, rng, n_data=self.n_data)
-        batch = schedule.minibatch_size if schedule.minibatch_size is not None else (self.n_data or 1)
+        theta0 = np.zeros(cfg.dim)
+        if n_data is not None:  # randomized start from the prior
+            theta0 = np.sqrt(cfg.prior_variance) * rng.standard_normal(cfg.dim)
+        samples = sgld_run(self.world.joint_grad, schedule, theta0, rng, n_data=n_data)
+        batch = schedule.minibatch_size if schedule.minibatch_size is not None else (n_data or 1)
         return SchemeOutput(samples, computed_gradients=params.iterations * batch)
 
-    def sgld_init(self, rng: Generator) -> np.ndarray:
-        return np.zeros(self.dim)
-
     def metrics_row(self, name: str, out: SchemeOutput, wall_ms: float) -> dict:
-        cfg = self.config
-        err2 = second_order_error(out.samples, self.reference.moment())
+        cfg, world = self.config, self.world
+        err2 = second_order_error(out.samples, world.reference_moment)
         kl = ""
-        if self.reference_prediction is not None:
-            kl = kl_ensemble(out.samples, self.reference_prediction, self.test_covariates)
+        if world.reference_prediction is not None:
+            kl = kl_ensemble(out.samples, world.reference_prediction, world.test_covariates)
         return {
             "scheme": name,
             "snr_db": cfg.snr_db,
@@ -239,125 +328,16 @@ class _TrialRunner:
         }
 
 
-class _GaussianTrial(_TrialRunner):
-    def __init__(self, config: ExperimentConfig, trial: int):
-        super().__init__(config, trial)
-        subs = gen_gaussian_scenario(config.n_workers, self.dim, config.subposteriors)
-        _, self.global_cov = gaussian_product([s.cov for s in subs])
-        # Zero-mean target: the exact covariance doubles as the second moment.
-        self.reference = ReferencePosterior(second_moment=self.global_cov)
-        if self.s_max:
-            draws = [
-                subs[k].sample(substream(config.seed, trial, "worker", k), size=self.s_max)
-                for k in range(config.n_workers)
-            ]
-            self.worker_samples = np.stack(draws, axis=1)
-        self.joint_grad = gaussian_joint_grad_fn(self.global_cov)
-        self.n_data = None
-        self.test_covariates = None
-        self.prepare_channels()
-
-    def noma_start(self) -> np.ndarray:
-        # I/K, as the toy scenario prescribes; the config admits wvcmc-noma
-        # on the toy only with identity channels, whose encoder is square.
-        return np.eye(self.dim)[None] / self.config.n_workers
-
-
-class _ProbitTrial(_TrialRunner):
-    def __init__(self, config: ExperimentConfig, trial: int):
-        super().__init__(config, trial)
-        rng_data = substream(config.seed, trial, "data")
-        dataset, test_u = self._load_data(config, rng_data)
-        if dataset.dim != config.dim:
-            raise ValueError(
-                f"the data set has {dataset.dim} covariates but the config sets dim={config.dim}"
-            )
-        self.dataset = dataset
-        self.test_covariates = test_u
-        self.n_data = dataset.size
-
-        ref_rng = substream(config.seed, trial, "reference")
-        global_shard = ProbitShard(dataset.covariates, dataset.labels, config.prior_variance)
-        ref_samples = gibbs_probit_sampler(
-            global_shard, config.reference.n_samples, ref_rng, burn_in=config.reference.burn_in
-        )
-        self.reference = ReferencePosterior(samples=ref_samples)
-        if test_u is not None:
-            self.reference_prediction = ensemble_predict(ref_samples, test_u)
-
-        shards_idx = partition(
-            dataset,
-            config.n_workers,
-            substream(config.seed, trial, "partition"),
-            rule=config.partition.rule,
-            zeta=config.partition.zeta,
-        )
-        k = config.n_workers
-        shards = [
-            ProbitShard(
-                dataset.covariates[idx], dataset.labels[idx], k * config.prior_variance
-            )
-            for idx in shards_idx
-        ]
-        if self.s_max:
-            draws = [
-                gibbs_probit_sampler(
-                    shards[j],
-                    self.s_max,
-                    substream(config.seed, trial, "worker", j),
-                    burn_in=config.gibbs_burn_in,
-                )
-                for j in range(k)
-            ]
-            self.worker_samples = np.stack(draws, axis=1)
-        self.joint_grad = probit_joint_grad_fn(
-            dataset.covariates, dataset.labels, config.prior_variance
-        )
-        self.prepare_channels()
-
-    @staticmethod
-    def _load_data(config: ExperimentConfig, rng: Generator):
-        if config.scenario == "probit-synthetic":
-            dataset = gen_probit_data(
-                config.data.n, config.dim, config.data.theta_star, rng
-            )
-            test_u = (
-                rng.standard_normal((config.data.n_test, config.dim))
-                if config.data.n_test > 0
-                else None
-            )
-            return dataset, test_u
-        full = ingest_csv(config.csv.path, config.csv.label_column, config.csv.pca_dim)
-        if config.csv.n_test > 0:
-            if config.csv.n_test >= full.size:
-                raise ValueError("csv n_test must leave at least one training row")
-            order = rng.permutation(full.size)
-            test = order[: config.csv.n_test]
-            train = np.sort(order[config.csv.n_test :])
-            dataset = LabeledDataset(
-                full.covariates[train], full.labels[train], note=full.note
-            )
-            return dataset, full.covariates[test]
-        return full, None
-
-    def sgld_init(self, rng: Generator) -> np.ndarray:
-        # Randomized start from the prior.
-        return np.sqrt(self.config.prior_variance) * rng.standard_normal(self.dataset.dim)
-
-
 def run_trial(config: ExperimentConfig, trial: int) -> list[dict]:
     """All configured schemes for one trial, in config order."""
-    if config.scenario == "gaussian-toy":
-        runner = _GaussianTrial(config, trial)
-    else:
-        runner = _ProbitTrial(config, trial)
+    link = Link(build_world(config, trial), config, trial)
     rows = []
     for name, params in config.schemes.items():
         scheme = SCHEMES[name]
         start = time.perf_counter()
-        out = getattr(runner, scheme.run)(scheme.mode, params)
+        out = getattr(link, scheme.run)(scheme.mode, params)
         wall_ms = 1000.0 * (time.perf_counter() - start)
-        rows.append(runner.metrics_row(name, out, wall_ms))
+        rows.append(link.metrics_row(name, out, wall_ms))
     return rows
 
 
@@ -377,16 +357,16 @@ _SWEEP_AXES = ("snr", "t", "k", "zeta")
 
 def apply_axis(config: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
     axis = axis.lower()
+    where = f"sweep axis {axis}"
     if axis == "snr":
-        return replace(config, snr_db=float(value))
+        return replace(config, snr_db=_number(float, value, where))
     if axis == "t":
-        return replace(config, t_blocks=int(value))
+        return replace(config, t_blocks=_number(int, value, where))
     if axis == "k":
-        return replace(config, n_workers=int(value))
+        return replace(config, n_workers=_number(int, value, where))
     if axis == "zeta":
-        return replace(
-            config, partition=replace(config.partition, rule="heterogeneous", zeta=float(value))
-        )
+        zeta = _number(float, value, where)
+        return replace(config, partition=replace(config.partition, rule="heterogeneous", zeta=zeta))
     raise ValueError(f"unknown sweep axis {axis!r}; expected one of {_SWEEP_AXES}")
 
 

@@ -8,40 +8,12 @@ samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtr
 
 PROB_CLAMP = 1e-12
-
-
-@dataclass(frozen=True)
-class ReferencePosterior:
-    """Ground truth for metrics: an exact second-moment matrix or reference samples."""
-
-    second_moment: np.ndarray | None = None
-    samples: np.ndarray | None = None
-
-    def __post_init__(self):
-        if (self.second_moment is None) == (self.samples is None):
-            raise ValueError("provide exactly one of second_moment or samples")
-        if self.samples is not None:
-            s = np.asarray(self.samples, dtype=float)
-            if s.ndim != 2 or s.shape[0] < 1000:
-                raise ValueError(f"sample-based reference needs >= 1000 samples, got {s.shape}")
-            object.__setattr__(self, "samples", s)
-        else:
-            m = np.asarray(self.second_moment, dtype=float)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError(f"second moment must be square, got shape {m.shape}")
-            object.__setattr__(self, "second_moment", m)
-
-    def moment(self) -> np.ndarray:
-        if self.second_moment is not None:
-            return self.second_moment
-        return second_moment(self.samples)
 
 
 def second_moment(samples: np.ndarray) -> np.ndarray:

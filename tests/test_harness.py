@@ -1,6 +1,7 @@
 """Harness tests: partitioning, CSV ingestion, config validation, determinism, CLI."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -20,6 +21,7 @@ from wcmc.harness.data import (
     pca_project,
 )
 from wcmc.harness.runner import apply_axis, run_experiment, sweep, write_manifest, write_rows
+from wcmc.posteriors import gibbs_probit_sampler
 
 
 def toy_config(**overrides):
@@ -229,6 +231,19 @@ class TestConfigValidation:
         assert cfg.schemes["sgld"].n_b is None
         assert isinstance(cfg.schemes["sgld"].alpha, float)
 
+    def test_reference_sample_floor(self):
+        with pytest.raises(ConfigError, match="at least 1000 samples"):
+            toy_config(reference={"n_samples": 999})
+
+    @pytest.mark.parametrize("axis, value", [("t", 20.9), ("k", 2.7)])
+    def test_sweep_values_are_checked_not_truncated(self, axis, value):
+        with pytest.raises(ConfigError, match=f"sweep axis {axis} must be an integer, got {value}"):
+            apply_axis(toy_config(), axis, value)
+
+    def test_integral_sweep_value_accepted(self):
+        cfg = apply_axis(toy_config(), "t", 20.0)
+        assert cfg.t_blocks == 20 and isinstance(cfg.t_blocks, int)
+
     def test_csv_scenario_needs_csv_section(self):
         with pytest.raises(ConfigError, match="csv"):
             parse_config(
@@ -246,6 +261,70 @@ class TestConfigValidation:
 
 def strip_timing(rows):
     return [{k: v for k, v in row.items() if k != "wall_ms"} for row in rows]
+
+
+# Every scheme on a heterogeneous toy at 10 dB and on probit-synthetic at
+# 20 dB, with the (err2, kl, computed_gradients) each row read when recorded.
+PINNED_ROWS = [
+    (
+        {
+            "scenario": "gaussian-toy",
+            "n_workers": 4,
+            "t_blocks": 200,
+            "snr_db": 10.0,
+            "trials": 1,
+            "seed": 21,
+            "schemes": {
+                "gcmc": {},
+                "wgcmc-oma": {},
+                "wgcmc-noma": {},
+                "wvcmc-oma": {"eta": 5e-3, "t_m": 30},
+                "wvcmc-noma": {"eta": 5e-3, "t_m": 30},
+                "sgld": {"iterations": 2000, "burn_in": 200},
+                "best-single": {},
+            },
+        },
+        {
+            "gcmc": (0.6725573571210084, "", 0),
+            "wgcmc-oma": (0.5388719063572206, "", 0),
+            "wgcmc-noma": (0.4296150414143883, "", 0),
+            "wvcmc-oma": (0.38504937273754947, "", 1500),
+            "wvcmc-noma": (0.2559408408593566, "", 6000),
+            "sgld": (1.3481015245535266, "", 2000),
+            "best-single": (4.077702468828647, "", 0),
+        },
+    ),
+    (
+        {
+            "scenario": "probit-synthetic",
+            "n_workers": 3,
+            "t_blocks": 60,
+            "snr_db": 20.0,
+            "trials": 1,
+            "seed": 22,
+            "data": {"n": 300, "n_test": 20},
+            "reference": {"n_samples": 1000, "burn_in": 20},
+            "schemes": {
+                "gcmc": {},
+                "wgcmc-oma": {},
+                "wgcmc-noma": {},
+                "wvcmc-oma": {"eta": 1e-3, "t_m": 5},
+                "wvcmc-noma": {"eta": 1e-3, "t_m": 10, "n_b": 50},
+                "sgld": {"n_b": 100, "iterations": 2000, "burn_in": 200},
+                "best-single": {},
+            },
+        },
+        {
+            "gcmc": (0.176900702277482, 0.004462020011156947, 0),
+            "wgcmc-oma": (0.20290276908286906, 0.0012236577563361252, 0),
+            "wgcmc-noma": (0.10982125933326264, 0.001098500642568404, 0),
+            "wvcmc-oma": (0.06846328198447259, 0.0013539919244659054, 30000),
+            "wvcmc-noma": (0.6789231844090449, 0.014021353189808298, 30000),
+            "sgld": (0.9059917472503426, 0.24922835692741482, 200000),
+            "best-single": (0.5320634125502959, 0.015051413633920558, 0),
+        },
+    ),
+]
 
 
 class TestRunnerDeterminism:
@@ -277,6 +356,69 @@ class TestRunnerDeterminism:
         direct = run_experiment(apply_axis(cfg, "snr", 8.0))
         swept = sweep(cfg, "snr", [8.0])
         assert strip_timing(direct) == strip_timing(swept)
+
+    @pytest.mark.parametrize("doc, pinned", PINNED_ROWS, ids=["toy-10db", "probit-20db"])
+    def test_rows_match_pinned_values(self, doc, pinned):
+        # (err2, kl, computed_gradients) per scheme on fixed seeds; a refactor
+        # that moves no random stream keeps them
+        rows = run_experiment(parse_config(doc))
+        assert [row["scheme"] for row in rows] == list(pinned)
+        for row in rows:
+            err2, kl, gradients = pinned[row["scheme"]]
+            assert row["err2"] == pytest.approx(err2, rel=1e-10, abs=0)
+            assert row["kl"] == (kl if kl == "" else pytest.approx(kl, rel=1e-10, abs=0))
+            assert row["computed_gradients"] == gradients
+
+
+def probit_config(**overrides):
+    doc = {
+        "scenario": "probit-synthetic",
+        "n_workers": 3,
+        "t_blocks": 30,
+        "snr_db": 10.0,
+        "trials": 1,
+        "seed": 8,
+        "dim": 2,
+        "data": {"n": 300, "theta_star": [0.5, -0.5], "n_test": 20},
+        "reference": {"n_samples": 1000, "burn_in": 10},
+        "schemes": {"gcmc": {}, "wgcmc-noma": {}},
+    }
+    doc.update(overrides)
+    return parse_config(doc)
+
+
+class TestWorld:
+    def test_link_settings_leave_the_world_unchanged(self):
+        # SNR and channel are link settings: the world a sweep over them shares
+        a = runner.build_world(probit_config(snr_db=0.0, channel="identity"), 0)
+        b = runner.build_world(probit_config(snr_db=20.0, channel="iid-gaussian"), 0)
+        for field in ("worker_samples", "reference_moment", "reference_prediction"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+        assert a.worker_samples.shape == (30, 3, 2)
+
+    def test_reference_summarised_from_its_draws(self, monkeypatch):
+        chains = []
+
+        def recording(shard, n_samples, rng, **kw):
+            chains.append(gibbs_probit_sampler(shard, n_samples, rng, **kw))
+            return chains[-1]
+
+        monkeypatch.setattr(runner, "gibbs_probit_sampler", recording)
+        world = runner.build_world(probit_config(), 0)
+        reference = chains[0]  # the first chain runs over the whole data set
+        assert reference.shape == (1000, 2) and len(chains) == 1 + 3
+        np.testing.assert_array_equal(world.reference_moment, metrics.second_moment(reference))
+        np.testing.assert_array_equal(
+            world.reference_prediction,
+            metrics.ensemble_predict(reference, world.test_covariates),
+        )
+
+    def test_schemes_cannot_write_to_the_world(self):
+        world = runner.build_world(toy_config(), 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            world.n_data = 5
+        with pytest.raises(ValueError, match="read-only"):
+            world.worker_samples[0, 0, 0] = 1.0
 
 
 class TestResultFiles:
@@ -368,6 +510,36 @@ class TestEndToEndScenarios:
         )
         with pytest.raises(ValueError, match="8 covariates.*dim=5"):
             run_experiment(cfg)
+        assert chains == []
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (  # SGLD's default minibatch of 500
+                {"schemes": {"gcmc": {}, "sgld": {}}},
+                "sgld: minibatch size n_b=500 exceeds the 300 training rows",
+            ),
+            (
+                {"schemes": {"wvcmc-noma": {"eta": 1e-3, "t_m": 2, "n_b": 301}}},
+                "wvcmc-noma: minibatch size n_b=301 exceeds the 300 training rows",
+            ),
+            (
+                {"n_workers": 40, "t_blocks": 40, "data": {"n": 30, "theta_star": [0.5, -0.5]}},
+                "cannot split 30 points across 40 workers",
+            ),
+            (
+                {"n_workers": 10, "partition": {"rule": "heterogeneous", "zeta": 6.0}},
+                r"workers \[.*\] received no data",
+            ),
+        ],
+    )
+    def test_data_that_cannot_serve_the_config_fails_before_any_chain(
+        self, monkeypatch, overrides, message
+    ):
+        chains = []
+        monkeypatch.setattr(runner, "gibbs_probit_sampler", lambda *a, **kw: chains.append(a))
+        with pytest.raises(ValueError, match=message):
+            run_experiment(probit_config(**overrides))
         assert chains == []
 
     def test_reference_prediction_computed_once_per_trial(self, monkeypatch):

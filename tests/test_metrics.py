@@ -99,21 +99,3 @@ class TestKlEnsemble:
         p = rng.uniform(size=100)
         q = rng.uniform(size=100)
         assert (metrics.bernoulli_kl(p, q) >= 0).all()
-
-
-class TestReferencePosterior:
-    def test_requires_exactly_one_source(self):
-        with pytest.raises(ValueError):
-            metrics.ReferencePosterior()
-        with pytest.raises(ValueError):
-            metrics.ReferencePosterior(second_moment=np.eye(2), samples=np.zeros((2000, 2)))
-
-    def test_sample_count_floor(self):
-        with pytest.raises(ValueError):
-            metrics.ReferencePosterior(samples=np.zeros((10, 2)))
-
-    def test_moment_from_samples(self):
-        rng = np.random.default_rng(6)
-        samples = rng.standard_normal((5000, 2))
-        ref = metrics.ReferencePosterior(samples=samples)
-        np.testing.assert_allclose(ref.moment(), metrics.second_moment(samples))

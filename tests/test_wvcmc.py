@@ -403,8 +403,8 @@ class TestStepCheck:
         assert not wvcmc._well_conditioned(w, e)
 
 
-def start_trial(**overrides):
-    """A one-trial runner, built up to its received blocks, for a small config."""
+def start_link(**overrides):
+    """A one-trial link over its world, built up to its received blocks, for a small config."""
     doc = {
         "scenario": "gaussian-toy",
         "n_workers": 3,
@@ -420,39 +420,38 @@ def start_trial(**overrides):
     }
     doc.update(overrides)
     cfg = config.parse_config(doc)
-    trial = runner._GaussianTrial if cfg.scenario == "gaussian-toy" else runner._ProbitTrial
-    return trial(cfg, 0), cfg
+    return runner.Link(runner.build_world(cfg, 0), cfg, 0), cfg
 
 
 class TestInitWeights:
     """Starting weights of the optimizer, which the experiment runner builds."""
 
     def test_toy_noma_identity_over_k(self):
-        trial, _ = start_trial(n_workers=8, t_blocks=80)
-        np.testing.assert_array_equal(trial.noma_start(), np.eye(5)[None] / 8)
+        link, _ = start_link(n_workers=8, t_blocks=80)
+        np.testing.assert_array_equal(link.noma_start, np.eye(5)[None] / 8)
 
     def test_probit_noma_scaled_pseudoinverse(self):
-        trial, _ = start_trial(
+        link, _ = start_link(
             scenario="probit-synthetic",
             data={"n": 200, "n_test": 0},
             reference={"n_samples": 1000, "burn_in": 10},
         )
-        assert trial.noma_enc.reps == 2
-        pinv = np.linalg.pinv(trial.noma_enc.matrix())
-        np.testing.assert_allclose(trial.noma_start(), pinv[None] / 3)
+        assert link.noma_enc.reps == 2
+        pinv = np.linalg.pinv(link.noma_enc.matrix())
+        np.testing.assert_allclose(link.noma_start, pinv[None] / 3)
 
     def test_oma_composes_decoders(self):
-        trial, _ = start_trial(channel="iid-gaussian", schemes={"gcmc": {}})
-        square = aggregators.gcmc_weights(trial.decoded())
-        start = trial.oma_start()
-        for k, enc in enumerate(trial.oma_enc):
+        link, _ = start_link(channel="iid-gaussian", schemes={"gcmc": {}})
+        square = aggregators.gcmc_weights(link.decoded)
+        start = link.oma_start
+        for k, enc in enumerate(link.oma_enc):
             assert enc.reps == 2
             np.testing.assert_allclose(start[k], square[k] @ enc.decode_matrix())
 
     def test_zero_iterations_reproduce_gcmc_exactly(self):
-        trial, cfg = start_trial()
+        link, cfg = start_link()
         params = cfg.schemes["wvcmc-oma"]
-        gcmc = trial.run_gcmc("oma", None).samples
-        np.testing.assert_array_equal(trial.run_wvcmc("oma", params).samples, gcmc)
+        gcmc = link.run_gcmc("oma", None).samples
+        np.testing.assert_array_equal(link.run_wvcmc("oma", params).samples, gcmc)
         rows = {row["scheme"]: row for row in runner.run_experiment(cfg)}
         assert rows["wvcmc-oma"]["err2"] == rows["gcmc"]["err2"]
