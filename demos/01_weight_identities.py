@@ -36,7 +36,7 @@ cov0 = covs[1]
 for s in (100, 1000, 10000):
     thetas = np.stack([sample_mvn(np.zeros(d), cov0, rng, size=s) for _ in range(k)], axis=1)
     enc = channel.noma_encoding([min(p_scales)] * k, d)
-    ys = channel.transmit_noma(thetas, enc, n0, rng)
+    ys = channel.transmit(thetas, [enc], n0, rng)
     ws = aggregators.wgcmc_noma(ys, k, min(p_scales), n0)
     out = aggregators.apply_weights(ws, ys)
     target = cov0 / k

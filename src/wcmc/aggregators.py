@@ -2,9 +2,12 @@
 
 ``gcmc_weights`` is the classical inverse-covariance consensus rule fitted
 on decoded samples as if communication were noiseless.  The channel-aware
-rules subtract the known noise covariance from the received-signal
-covariance and rescale so that the aggregated sample's law matches the
-product posterior as the sample count grows.
+rules share one estimator of the per-receiver signal covariances (fold the
+repetitions, subtract the known noise, project PSD, divide by power) and one
+spectral helper, and keep two closed forms: OMA combines K estimated
+subposteriors by the product rule, NOMA rescales one common covariance.
+Either way the aggregated sample's law matches the product posterior as the
+sample count grows.
 
 Weights are plain (R, d, m_r) stacks, one matrix per receiver, applied to
 (S, R, m_r) received blocks: R = K under orthogonal access, where each
@@ -87,18 +90,16 @@ def gcmc_weights(decoded: np.ndarray) -> np.ndarray:
     return np.einsum("de,kef->kdf", combined, precisions)
 
 
-def _joint_inv_sqrt(cov: np.ndarray, p_scale: float, n0: float) -> np.ndarray:
-    """C^{-1/2} (p C + n0 I)^{-1/2} from a single eigendecomposition.
+def _spectral(cov: np.ndarray, f) -> np.ndarray:
+    """V f(w) V^T from the eigenpairs (w, V) of the ridged covariance.
 
-    Both factors are functions of C, so they share eigenvectors; computing
-    them jointly keeps the product exactly symmetric.  Zero eigenvalues are
-    ridged away first (the PSD projection can produce them).
+    Both closed forms need matrix functions of a covariance; taking them
+    from one eigendecomposition keeps them exactly symmetric.  Eigenvalues
+    are clipped at the smallest normal float, so f never sees a zero.
     """
-    c = _ridged(_require_symmetric(cov, "covariance estimate"))
-    w, v = np.linalg.eigh(c)
+    w, v = np.linalg.eigh(_ridged(_require_symmetric(cov, "covariance")))
     w = np.clip(w, np.finfo(float).tiny, None)
-    diag = 1.0 / np.sqrt(w * (p_scale * w + n0))
-    return (v * diag) @ v.T
+    return (v * f(w)) @ v.T
 
 
 def wgcmc_oma_weights_exact(covs, p_scales, n0: float) -> np.ndarray:
@@ -109,10 +110,12 @@ def wgcmc_oma_weights_exact(covs, p_scales, n0: float) -> np.ndarray:
     covariance (sum C^{-1})^{-1} identically.
     """
     covs = np.stack([_require_symmetric(c, "covariance") for c in covs])
-    p_scales = np.asarray(p_scales, dtype=float)
     _, combined = gaussian_product(covs)
     return np.stack(
-        [combined @ _joint_inv_sqrt(c, p, n0) for c, p in zip(covs, p_scales)]
+        [
+            combined @ _spectral(c, lambda w: 1.0 / np.sqrt(w * (p * w + n0)))
+            for c, p in zip(covs, np.asarray(p_scales, dtype=float))
+        ]
     )
 
 
@@ -122,58 +125,43 @@ def wgcmc_noma_weight_exact(cov0: np.ndarray, n_workers: int, min_p: float, n0: 
     W = K^{-1/2} C_0^{1/2} (K min_p C_0 + N0 I)^{-1/2} maps the superposed
     signal law onto the homogeneous product posterior N(0, C_0 / K).
     """
-    c = _ridged(_require_symmetric(cov0, "covariance"))
-    w, v = np.linalg.eigh(c)
-    w = np.clip(w, 0.0, None)
-    diag = np.sqrt(w / (n_workers * min_p * w + n0)) if n0 > 0 else np.where(
-        w > 0, np.sqrt(w / (n_workers * min_p * w)), 0.0
-    )
-    return ((v * diag) @ v.T) / np.sqrt(n_workers)
+    root = _spectral(cov0, lambda w: np.sqrt(w / (n_workers * min_p * w + n0)))
+    return root / np.sqrt(n_workers)
 
 
-def wgcmc_oma(ys: np.ndarray, p_scales, n0: float, reps: int = 1) -> np.ndarray:
-    """Channel-aware OMA weights estimated from noisy received blocks.
+def _signal_covariances(ys: np.ndarray, powers, n0: float, reps: int):
+    """Per-receiver signal covariance estimates from (S >= 2, R, m_r) blocks.
 
-    ``ys`` has shape (S, K, m_r) with S >= 2.  Repetition blocks are averaged
-    first, which divides the effective noise level by ``reps``; the
-    covariance of each worker's folded signal minus that noise, projected
-    onto the PSD cone and divided by P_k, estimates the subposterior
-    covariance that the closed-form rule needs.
+    Repetition blocks are averaged first, which divides the noise level by
+    ``reps``.  Each receiver's folded covariance minus that noise, projected
+    onto the PSD cone and divided by its power, estimates the covariance
+    the closed-form rule needs.  Returns the R estimates, the fold and the
+    folded noise level.
     """
     ys = np.asarray(ys, dtype=float)
-    if ys.ndim != 3 or ys.shape[0] < 2:
-        raise ValueError(f"expected (S >= 2, K, m_r) blocks, got shape {ys.shape}")
-    p_scales = np.asarray(p_scales, dtype=float)
-    if p_scales.shape != (ys.shape[1],):
-        raise ValueError("need one power scale per worker")
+    if ys.ndim != 3 or ys.shape[0] < 2 or ys.shape[1] != len(powers):
+        raise ValueError(f"expected (S >= 2, R={len(powers)}, m_r) blocks, got shape {ys.shape}")
     fold = fold_matrix(ys.shape[-1] // reps, reps)
     folded = ys @ fold.T
     n0_eff = n0 / reps
-    d = fold.shape[0]
-    cov_hats = [
-        positive_part(empirical_covariance(folded[:, k, :]) - n0_eff * np.eye(d)) / p_scales[k]
-        for k in range(ys.shape[1])
+    noise = n0_eff * np.eye(fold.shape[0])
+    covs = [
+        positive_part(empirical_covariance(folded[:, r, :]) - noise) / p
+        for r, p in enumerate(powers)
     ]
-    reduced = wgcmc_oma_weights_exact(cov_hats, p_scales, n0_eff)
-    return np.einsum("kde,em->kdm", reduced, fold)
+    return covs, fold, n0_eff
+
+
+def wgcmc_oma(ys: np.ndarray, p_scales, n0: float, reps: int = 1) -> np.ndarray:
+    """Channel-aware OMA weights from noisy (S, K, m_r) blocks: receiver k's
+    signal covariance over P_k estimates worker k's subposterior covariance."""
+    covs, fold, n0_eff = _signal_covariances(ys, p_scales, n0, reps)
+    return np.einsum("kde,em->kdm", wgcmc_oma_weights_exact(covs, p_scales, n0_eff), fold)
 
 
 def wgcmc_noma(ys: np.ndarray, n_workers: int, min_p: float, n0: float, reps: int = 1) -> np.ndarray:
-    """Channel-aware NOMA weight estimated from noisy superposed blocks.
-
-    ``ys`` has shape (S, 1, m_r) with S >= 2, and the result is a (1, d, m_r)
-    stack.  The folded-signal covariance minus the effective noise, projected
-    PSD and divided by K min_p, estimates the common subposterior covariance.
-    """
-    ys = np.asarray(ys, dtype=float)
-    if ys.ndim != 3 or ys.shape[0] < 2 or ys.shape[1] != 1:
-        raise ValueError(f"expected (S >= 2, 1, m_r) blocks, got shape {ys.shape}")
-    fold = fold_matrix(ys.shape[-1] // reps, reps)
-    folded = ys[:, 0, :] @ fold.T
-    n0_eff = n0 / reps
-    d = fold.shape[0]
-    cov0_hat = positive_part(empirical_covariance(folded) - n0_eff * np.eye(d)) / (
-        n_workers * min_p
-    )
-    reduced = wgcmc_noma_weight_exact(cov0_hat, n_workers, min_p, n0_eff)
-    return (reduced @ fold)[None]
+    """Channel-aware NOMA weight, a (1, d, m_r) stack, from noisy (S, 1, m_r)
+    superposed blocks: the signal covariance over K min_p estimates the
+    common subposterior covariance."""
+    (cov0,), fold, n0_eff = _signal_covariances(ys, [n_workers * min_p], n0, reps)
+    return (wgcmc_noma_weight_exact(cov0, n_workers, min_p, n0_eff) @ fold)[None]

@@ -1,15 +1,18 @@
 """Simulated uncoded transmission of posterior samples.
 
 One communication block carries one model sample per scheduled worker.  The
-transmitted vector is x = H^+ E theta (zero-forcing times a repetition
-encoder), so the receive side sees y = E theta + n exactly; the channel
-matrix only matters for the transmit-power audit.
+model's transmitted vector is x = H^+ E theta (zero-forcing times a
+repetition encoder), so the receive side sees y = E theta + n exactly.  The
+channel matrix H therefore never enters the simulation: the power budget
+needs only its mean inverse gram E[(H H^T)^{-1}], which ``ChannelModel``
+gives in closed form.
 
 Received blocks have shape (S, R, m_r): S blocks, R receive vectors per
-block.  Orthogonal access (OMA) gives each worker its own vector, R = K;
-non-orthogonal access (NOMA) superimposes all workers into one, R = 1.
-Either way the server sees K signal terms and R independent noise terms,
-the K + R summands of the entropy bound in ``wvcmc``.
+block, receiver r carrying K/R consecutive workers.  Orthogonal access (OMA)
+gives each worker its own receiver, R = K; non-orthogonal access (NOMA)
+superimposes all workers on one, R = 1.  Either way the server sees K signal
+terms and R independent noise terms, the K + R summands of the entropy bound
+in ``wvcmc``.
 """
 
 from __future__ import annotations
@@ -18,14 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matops import zf_pseudoinverse
-
 POWER_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """Per-block channel draw: identity (flat) or i.i.d. standard Gaussian entries."""
+    """Channel law: identity (flat) or i.i.d. standard Gaussian entries, (m_r, m_t)."""
 
     kind: str  # "identity" | "iid-gaussian"
     m_t: int
@@ -38,11 +39,6 @@ class ChannelModel:
             raise ValueError(f"need m_t >= m_r >= 1, got m_t={self.m_t}, m_r={self.m_r}")
         if self.kind == "identity" and self.m_t != self.m_r:
             raise ValueError("identity channels require m_t == m_r")
-
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        if self.kind == "identity":
-            return np.eye(self.m_r)
-        return rng.standard_normal((self.m_r, self.m_t))
 
     def mean_inverse_gram(self) -> np.ndarray:
         """Analytic E[(H H^T)^{-1}].
@@ -100,26 +96,12 @@ class RepetitionEncoding:
         if self.scale <= 0:
             raise ValueError(f"power scale must be positive, got {self.scale}")
 
-    @property
-    def m_r(self) -> int:
-        return self.reps * self.dim
-
     def matrix(self) -> np.ndarray:
         return np.sqrt(self.scale) * np.tile(np.eye(self.dim), (self.reps, 1))
 
-    def encode(self, thetas: np.ndarray) -> np.ndarray:
-        """Map (..., dim) samples to (..., m_r) encoded vectors."""
-        thetas = np.asarray(thetas, dtype=float)
-        out = np.concatenate([thetas] * self.reps, axis=-1)
-        return np.sqrt(self.scale) * out
-
-    def fold_matrix(self) -> np.ndarray:
-        """(dim, m_r) map averaging the repetition blocks; leaves sqrt(scale) in place."""
-        return fold_matrix(self.dim, self.reps)
-
     def decode_matrix(self) -> np.ndarray:
         """Pseudoinverse of the encoder, (dim, m_r); removes the power scale."""
-        return self.fold_matrix() / np.sqrt(self.scale)
+        return fold_matrix(self.dim, self.reps) / np.sqrt(self.scale)
 
     def decode(self, ys: np.ndarray) -> np.ndarray:
         return np.asarray(ys, dtype=float) @ self.decode_matrix().T
@@ -165,43 +147,28 @@ def noma_encoding(p_scales, dim: int, reps: int = 1) -> RepetitionEncoding:
     return RepetitionEncoding(dim=dim, reps=reps, scale=float(min(p_scales)))
 
 
-def precode(theta: np.ndarray, h: np.ndarray, encoding: RepetitionEncoding) -> np.ndarray:
-    """Transmit vector x = H^+ E theta; H x reproduces E theta exactly."""
-    theta = np.asarray(theta, dtype=float)
-    return zf_pseudoinverse(h) @ (encoding.matrix() @ theta)
-
-
-def transmit_oma(
+def transmit(
     thetas: np.ndarray,
     encodings: list[RepetitionEncoding],
     n0: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Received OMA blocks y[s, k] = E_k theta[s, k] + noise, shape (S, K, m_r).
+    """Received blocks y[s, r] = E_r sum_{k at r} theta[s, k] + noise, shape (S, R, m_r).
 
-    Noise entries are i.i.d. N(0, n0), independent across workers and blocks.
+    R = len(encodings) receivers share the K workers, K/R consecutive ones
+    each: one encoding per worker is OMA, a single shared one is NOMA.  Noise
+    entries are i.i.d. N(0, n0), independent across receivers and blocks.
     """
     thetas = np.asarray(thetas, dtype=float)
-    _, k, d = thetas.shape
-    if len(encodings) != k:
-        raise ValueError(f"{k} workers but {len(encodings)} encodings")
+    s, k, d = thetas.shape
+    r = len(encodings)
+    if r < 1 or k % r:
+        raise ValueError(f"{k} workers cannot share {r} receivers evenly")
     reps = encodings[0].reps
     if any((e.dim, e.reps) != (d, reps) for e in encodings):
         raise ValueError(f"every encoding must map dim={d} with reps={reps}")
     scales = np.sqrt([e.scale for e in encodings])
-    ys = scales[:, None] * np.tile(thetas, reps)
-    return ys + np.sqrt(n0) * rng.standard_normal(ys.shape)
-
-
-def transmit_noma(
-    thetas: np.ndarray,
-    encoding: RepetitionEncoding,
-    n0: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Received NOMA blocks y[s, 0] = E sum_k theta[s, k] + noise, shape (S, 1, m_r)."""
-    thetas = np.asarray(thetas, dtype=float)
-    ys = encoding.encode(thetas.sum(axis=1, keepdims=True))
+    ys = scales[:, None] * np.tile(thetas.reshape(s, r, k // r, d).sum(axis=2), reps)
     return ys + np.sqrt(n0) * rng.standard_normal(ys.shape)
 
 
@@ -214,20 +181,6 @@ def expected_block_powers(
     samples = np.asarray(samples, dtype=float)
     m = repetition_power_map(encoding.dim, encoding.reps, mean_inverse_gram)
     return encoding.scale * np.einsum("sd,de,se->s", samples, m, samples)
-
-
-def realized_block_powers(
-    samples: np.ndarray,
-    channel: ChannelModel,
-    encoding: RepetitionEncoding,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Per-block ||H^+ E theta||^2 with a fresh channel draw every block."""
-    samples = np.asarray(samples, dtype=float)
-    out = np.empty(samples.shape[0])
-    for s in range(samples.shape[0]):
-        out[s] = float(np.sum(precode(samples[s], channel.draw(rng), encoding) ** 2))
-    return out
 
 
 def verify_power(block_powers: np.ndarray, p_budget: float) -> tuple[bool, float]:

@@ -19,11 +19,14 @@ from .report import format_summary, load_rows, summarize
 from .runner import run_experiment, substream, sweep, write_manifest, write_rows
 
 
-def _add_common(parser: argparse.ArgumentParser, need_out: bool = False) -> None:
+def _add_common(parser: argparse.ArgumentParser, runs: bool = True) -> None:
+    """Options of every config-driven command; ``runs`` adds --parallel and
+    makes --out optional (the config's ``output`` can stand in)."""
     parser.add_argument("--config", required=True, help="path to the JSON config")
-    parser.add_argument("--out", required=need_out, help="output path")
+    parser.add_argument("--out", required=not runs, help="output path")
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
-    parser.add_argument("--parallel", type=int, default=1, help="trial worker processes")
+    if runs:
+        parser.add_argument("--parallel", type=int, default=1, help="trial worker processes")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -31,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic probit CSV")
-    _add_common(p, need_out=True)
+    _add_common(p, runs=False)
 
     p = sub.add_parser("run", help="run the configured experiment")
     _add_common(p)

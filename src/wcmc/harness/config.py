@@ -21,6 +21,8 @@ class ConfigError(ValueError):
 
 
 def _check_keys(section: dict, allowed, where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be an object, got {section!r}")
     unknown = sorted(set(section) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown keys {unknown} in {where}; allowed: {sorted(allowed)}")
@@ -265,15 +267,16 @@ def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a parsed JSON document into an ExperimentConfig.
 
     Keys are the fields of ``ExperimentConfig`` and of its section classes;
-    int and float fields are checked by ``_number``, and a null section takes
-    its default.
+    every section must be an object, int and float fields are checked by
+    ``_number``, and a null section takes its default.
     """
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
     _check_fields(ExperimentConfig, doc, "config")
     if not isinstance(doc["schemes"], dict):
         raise ConfigError("schemes must be an object mapping scheme names to parameters")
-    schemes = {name: _parse_scheme(name, section or {}) for name, section in doc["schemes"].items()}
+    schemes = {
+        name: _parse_scheme(name, {} if section is None else section)
+        for name, section in doc["schemes"].items()
+    }
     values = {"schemes": schemes}
     for key, hint in typing.get_type_hints(ExperimentConfig).items():
         if key not in doc or key in values:

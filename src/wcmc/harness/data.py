@@ -159,7 +159,7 @@ def ingest_csv(
 
     Covariates are standardized per column (zero-variance columns are only
     centered); an optional PCA projection reduces them to ``pca_dim``.
-    Malformed rows raise with their file line number.
+    Malformed rows and non-finite cells raise with their file line number.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -182,6 +182,9 @@ def ingest_csv(
                 values = [float(cell) for cell in row]
             except ValueError as exc:
                 raise ValueError(f"{path} line {line_no}: {exc}") from None
+            bad = [name for name, x in zip(header, values) if not np.isfinite(x)]
+            if bad:
+                raise ValueError(f"{path} line {line_no}: non-finite value in columns {bad}")
             label = values.pop(label_idx)
             if label not in (0.0, 1.0):
                 raise ValueError(f"{path} line {line_no}: label must be 0 or 1, got {label}")

@@ -35,8 +35,7 @@ from ..channel import (
     noma_encoding,
     oma_encodings,
     power_scale,
-    transmit_noma,
-    transmit_oma,
+    transmit,
 )
 from ..metrics import ensemble_predict, kl_ensemble, second_moment, second_order_error
 from ..posteriors import (
@@ -75,7 +74,6 @@ _STAGES = {
     "wvcmc-oma": 6,
     "wvcmc-noma": 7,
     "sgld": 8,
-    "audit": 9,
 }
 
 
@@ -211,7 +209,7 @@ class Link:
         power = PowerConfig.from_snr_db(config.snr_db, channel.m_r)
         gram = channel.mean_inverse_gram()
         self.n0 = power.n0
-        self.ys = {}  # received blocks by access mode
+        self.encs, self.ys = {}, {}  # encoder list and received blocks by access mode
         for mode, s in (
             ("oma", config.s_oma * config.uses_oma),
             ("noma", config.s_noma * config.uses_noma),
@@ -220,25 +218,24 @@ class Link:
                 continue
             thetas = world.worker_samples[:s]
             scales = [power_scale(thetas[:, j], gram, self.reps, power.p) for j in range(k)]
-            rng = substream(config.seed, trial, f"{mode}-noise")
             if mode == "oma":
-                self.oma_enc = oma_encodings(scales, dim, self.reps)
-                self.ys[mode] = transmit_oma(thetas, self.oma_enc, self.n0, rng)
+                self.encs[mode] = oma_encodings(scales, dim, self.reps)
             else:
-                self.noma_enc = noma_encoding(scales, dim, self.reps)
-                self.ys[mode] = transmit_noma(thetas, self.noma_enc, self.n0, rng)
+                self.encs[mode] = [noma_encoding(scales, dim, self.reps)]
+            rng = substream(config.seed, trial, f"{mode}-noise")
+            self.ys[mode] = transmit(thetas, self.encs[mode], self.n0, rng)
 
     @cached_property
     def decoded(self) -> np.ndarray:
         """Per-worker decoded signals E_k^+ y_k, shape (S, K, d)."""
         ys = self.ys["oma"]
-        return np.stack([enc.decode(ys[:, j, :]) for j, enc in enumerate(self.oma_enc)], axis=1)
+        return np.stack([e.decode(ys[:, j, :]) for j, e in enumerate(self.encs["oma"])], axis=1)
 
     @cached_property
     def oma_start(self) -> np.ndarray:
         """The gcmc fit on decoded signals composed with the decoders: the
         gcmc weights, and the point wvcmc-oma starts from."""
-        decoders = np.stack([e.decode_matrix() for e in self.oma_enc])
+        decoders = np.stack([e.decode_matrix() for e in self.encs["oma"]])
         return np.einsum("kde,kem->kdm", gcmc_weights(self.decoded), decoders)
 
     @property
@@ -248,17 +245,17 @@ class Link:
         k = self.config.n_workers
         if self.world.n_data is None:
             return np.eye(self.config.dim)[None] / k
-        return np.linalg.pinv(self.noma_enc.matrix())[None] / k
+        return np.linalg.pinv(self.encs["noma"][0].matrix())[None] / k
 
     def run_gcmc(self, mode, params) -> SchemeOutput:
         return SchemeOutput(apply_weights(self.oma_start, self.ys[mode]))
 
     def run_wgcmc(self, mode, params) -> SchemeOutput:
-        ys = self.ys[mode]
+        ys, scales = self.ys[mode], [e.scale for e in self.encs[mode]]
         if mode == "oma":
-            ws = wgcmc_oma(ys, [e.scale for e in self.oma_enc], self.n0, self.reps)
+            ws = wgcmc_oma(ys, scales, self.n0, self.reps)
         else:
-            ws = wgcmc_noma(ys, self.config.n_workers, self.noma_enc.scale, self.n0, self.reps)
+            ws = wgcmc_noma(ys, self.config.n_workers, scales[0], self.n0, self.reps)
         return SchemeOutput(apply_weights(ws, ys))
 
     def run_best_single(self, mode, params) -> SchemeOutput:
@@ -268,16 +265,11 @@ class Link:
 
     def run_wvcmc(self, mode, params) -> SchemeOutput:
         cfg, n_data = self.config, self.world.n_data
-        k = cfg.n_workers
-        if mode == "oma":
-            init, encs = self.oma_start, self.oma_enc
-        else:
-            init, encs = self.noma_start, [self.noma_enc]
-        ys = self.ys[mode]
+        k, ys = cfg.n_workers, self.ys[mode]
         result = run_wvcmc(
             ys,
-            init,
-            [e.matrix() for e in encs],
+            self.oma_start if mode == "oma" else self.noma_start,
+            [e.matrix() for e in self.encs[mode]],
             k,
             self.world.joint_grad,
             params.eta / k if params.eta_div_k else params.eta,

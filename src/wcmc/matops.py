@@ -40,27 +40,6 @@ def _require_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return symmetrize(a)
 
 
-def zf_pseudoinverse(h: np.ndarray) -> np.ndarray:
-    """Right pseudoinverse H^T (H H^T)^{-1} of a fat full-row-rank matrix.
-
-    Used as the zero-forcing pre-equalizer: H @ zf_pseudoinverse(H) is the
-    identity on the receive side.  Raises ``LinAlgError`` when the smallest
-    singular value falls below ``EIG_RTOL`` times the largest.
-    """
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {h.shape}")
-    m_r, m_t = h.shape
-    if m_t < m_r:
-        raise ValueError(f"need at least as many columns as rows, got {h.shape}")
-    sv = np.linalg.svd(h, compute_uv=False)
-    if sv[-1] <= EIG_RTOL * sv[0]:
-        raise np.linalg.LinAlgError(
-            f"rank-deficient matrix: singular values span [{sv[-1]:.3e}, {sv[0]:.3e}]"
-        )
-    return np.linalg.solve(h @ h.T, h).T
-
-
 def _psd_eig(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a symmetric PSD matrix, rejecting indefinite input."""
     a = _require_symmetric(a, name)

@@ -8,8 +8,6 @@ samples.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 from scipy.special import ndtr
 
@@ -24,35 +22,20 @@ def second_moment(samples: np.ndarray) -> np.ndarray:
     return x.T @ x / x.shape[0]
 
 
-class SecondOrderError(NamedTuple):
-    error: float
-    n_used: int
-    n_excluded: int
-
-
-def second_order_error(
-    samples: np.ndarray,
-    reference_moment: np.ndarray,
-    return_detail: bool = False,
-):
+def second_order_error(samples: np.ndarray, reference_moment: np.ndarray) -> float:
     """Mean relative error of the d^2 second-moment entries.
 
     Entries whose reference value is exactly zero cannot be scored (division
-    by zero) and are excluded; their count is reported in the detailed form
-    so runs stay comparable.
+    by zero) and are excluded from the mean.
     """
     m_hat = second_moment(samples)
     m_ref = np.asarray(reference_moment, dtype=float)
     if m_ref.shape != m_hat.shape:
         raise ValueError(f"reference shape {m_ref.shape} does not match {m_hat.shape}")
     usable = m_ref != 0.0
-    n_used = int(usable.sum())
-    if n_used == 0:
+    if not usable.any():
         raise ValueError("reference second moment is identically zero")
-    err = float(np.mean(np.abs(m_hat[usable] - m_ref[usable]) / np.abs(m_ref[usable])))
-    if return_detail:
-        return SecondOrderError(err, n_used, int((~usable).sum()))
-    return err
+    return float(np.mean(np.abs(m_hat[usable] - m_ref[usable]) / np.abs(m_ref[usable])))
 
 
 def ensemble_predict(samples: np.ndarray, covariates: np.ndarray) -> np.ndarray:

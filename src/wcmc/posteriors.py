@@ -223,7 +223,8 @@ def gaussian_log_joint_fn(cov: np.ndarray):
 
 
 def _truncated_std_normal_above(alpha: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw Z ~ N(0,1) conditioned on Z > alpha, elementwise."""
+    """Draw Z ~ N(0,1) conditioned on Z > alpha, elementwise; a NaN or +inf
+    alpha raises ``ValueError`` before the tail branch draws anything."""
     alpha = np.asarray(alpha, dtype=float)
     out = np.empty_like(alpha)
 
@@ -238,6 +239,8 @@ def _truncated_std_normal_above(alpha: np.ndarray, rng: np.random.Generator) -> 
     if hard.any():
         # Exponential-proposal rejection for the deep tail (Robert 1995).
         a = alpha[hard]
+        if not np.all(np.isfinite(a)):
+            raise ValueError("truncation points must be finite; the rejection loop never accepts")
         lam = 0.5 * (a + np.sqrt(a * a + 4.0))
         draws = np.empty_like(a)
         pending = np.ones(a.shape, dtype=bool)
@@ -324,7 +327,6 @@ def gibbs_probit_sampler(
     n_samples: int,
     rng: np.random.Generator,
     burn_in: int = 100,
-    init: np.ndarray | None = None,
 ) -> np.ndarray:
     """Latent-variable Gibbs sampler for the probit posterior of a shard.
 
@@ -341,7 +343,7 @@ def gibbs_probit_sampler(
     factor = psd_factor(cov)
     positive = v == 1
 
-    theta = ml_estimate_probit(shard) if init is None else np.asarray(init, dtype=float)
+    theta = ml_estimate_probit(shard)
     out = np.empty((n_samples, shard.dim))
     for sweep in range(burn_in + n_samples):
         latents = sample_truncated_normal(u @ theta, rng, positive=positive)

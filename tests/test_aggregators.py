@@ -155,7 +155,7 @@ class TestWgcmcEstimated:
         )
         enc = channel.RepetitionEncoding(d, 1, min_p)
         n0 = 0.3
-        ys = channel.transmit_noma(thetas, enc, n0, rng)
+        ys = channel.transmit(thetas, [enc], n0, rng)
         ws = aggregators.wgcmc_noma(ys, k, min_p, n0)
         assert ws.shape == (1, d, d)
         out = aggregators.apply_weights(ws, ys)
@@ -171,13 +171,22 @@ class TestWgcmcEstimated:
         thetas = rng.standard_normal((s, 1, d))
         enc = channel.oma_encodings([1.3], d, reps=2)
         n0 = 0.5
-        ys = channel.transmit_oma(thetas, enc, n0, rng)
+        ys = channel.transmit(thetas, enc, n0, rng)
         ws_full = aggregators.wgcmc_oma(ys, [1.3], n0, reps=2)
         folded = 0.5 * (ys[:, :, :d] + ys[:, :, d:])
         ws_sq = aggregators.wgcmc_oma(folded, [1.3], n0 / 2, reps=1)
         out_full = aggregators.apply_weights(ws_full, ys)
         out_sq = aggregators.apply_weights(ws_sq, folded)
         np.testing.assert_allclose(out_full, out_sq, atol=1e-10)
+
+    def test_one_worker_rules_agree(self):
+        # K = 1 on one receiver: the OMA product of one subposterior and the
+        # NOMA rescaling of it are the same weight, C^{1/2} (P C + N0 I)^{-1/2}
+        rng = np.random.default_rng(13)
+        ys = rng.standard_normal((400, 1, 6)) @ np.diag([1.0, 0.5, 2.0, 1.0, 0.5, 2.0])
+        oma = aggregators.wgcmc_oma(ys, [0.6], 0.2, reps=2)
+        noma = aggregators.wgcmc_noma(ys, 1, 0.6, 0.2, reps=2)
+        np.testing.assert_allclose(oma, noma, rtol=1e-9, atol=1e-12)
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):

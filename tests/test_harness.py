@@ -159,6 +159,13 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="line 3"):
             ingest_csv(path, "label")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, cell):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"x0,x1,label\n1.0,2.0,1\n0.5,{cell},0\n")
+        with pytest.raises(ValueError, match=r"line 3: non-finite value in columns \['x1'\]"):
+            ingest_csv(path, "label")
+
     def test_non_binary_label_rejected(self, tmp_path):
         path = tmp_path / "bad2.csv"
         path.write_text("x0,label\n1.0,2\n")
@@ -223,6 +230,21 @@ class TestConfigValidation:
     def test_numbers_are_checked_not_truncated(self, overrides, message):
         with pytest.raises(ConfigError, match=message):
             toy_config(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"partition": 5}, "partition must be an object, got 5"),
+            ({"reference": [1, 2]}, r"reference must be an object, got \[1, 2\]"),
+            ({"data": "n"}, "data must be an object, got 'n'"),
+            ({"schemes": {"wvcmc-oma": 5}}, "schemes.wvcmc-oma must be an object, got 5"),
+            ({"schemes": {"gcmc": 0}}, "schemes.gcmc must be an object, got 0"),
+            (None, r"config must be an object, got \[\]"),
+        ],
+    )
+    def test_sections_must_be_objects(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config([]) if overrides is None else toy_config(**overrides)
 
     def test_integral_and_integer_numbers_accepted(self):
         cfg = toy_config(t_blocks=80.0, snr_db=5, schemes={"sgld": {"n_b": None, "alpha": 1}})
@@ -627,6 +649,11 @@ class TestCli:
         assert cli.main(["gen-data", "--config", str(cfg_path), "--out", str(data_path)]) == 0
         ds = ingest_csv(data_path, "label")
         assert ds.size == 300 and ds.dim == 2
+        # gen-data runs no trials, so it takes no --parallel
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(
+                ["gen-data", "--config", str(cfg_path), "--out", str(data_path), "--parallel", "2"]
+            )
 
     def test_run_and_report(self, tmp_path):
         cfg_path = tmp_path / "toy.json"

@@ -11,31 +11,6 @@ def random_psd(rng, d, min_eig=0.0):
     return b @ b.T + min_eig * np.eye(d)
 
 
-class TestZfPseudoinverse:
-    def test_identity(self):
-        np.testing.assert_allclose(matops.zf_pseudoinverse(np.eye(3)), np.eye(3))
-
-    def test_square_diagonal(self):
-        h = np.diag([2.0, 4.0])
-        np.testing.assert_allclose(matops.zf_pseudoinverse(h), np.diag([0.5, 0.25]))
-
-    def test_right_inverse_residual(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            h = rng.standard_normal((4, 6))
-            residual = h @ matops.zf_pseudoinverse(h) - np.eye(4)
-            assert np.abs(residual).max() < 1e-9
-
-    def test_rank_deficient_rejected(self):
-        h = np.ones((2, 4))
-        with pytest.raises(np.linalg.LinAlgError):
-            matops.zf_pseudoinverse(h)
-
-    def test_tall_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            matops.zf_pseudoinverse(np.ones((4, 2)))
-
-
 class TestPositivePart:
     def test_identity(self):
         np.testing.assert_allclose(matops.positive_part(np.eye(3)), np.eye(3))

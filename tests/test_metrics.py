@@ -36,12 +36,16 @@ class TestSecondOrderError:
         )
 
     def test_zero_reference_entries_excluded_and_counted(self):
-        samples = np.array([[1.0, 1.0], [1.0, -1.0]])
-        ref = np.eye(2)  # off-diagonal reference entries are exactly zero
-        detail = metrics.second_order_error(samples, ref, return_detail=True)
-        assert detail.n_used == 2
-        assert detail.n_excluded == 2
-        assert detail.error == pytest.approx(0.0)
+        # second moment [[1, 1], [1, 2]] against diag(2, 0.5): the two
+        # off-diagonal entries, whose reference is zero, drop out of the mean
+        # (they would divide by zero), so it runs over the diagonal only
+        samples = np.array([[1.0, 2.0], [1.0, 0.0]])
+        ref = np.diag([2.0, 0.5])
+        nonzero = ref != 0
+        expected = np.mean(np.abs(metrics.second_moment(samples) - ref)[nonzero] / ref[nonzero])
+        assert nonzero.sum() == 2
+        assert metrics.second_order_error(samples, ref) == pytest.approx(expected)
+        assert expected == pytest.approx((0.5 + 3.0) / 2)
 
     def test_all_zero_reference_rejected(self):
         with pytest.raises(ValueError):

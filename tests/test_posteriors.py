@@ -185,6 +185,15 @@ class TestTruncatedNormal:
         value = posteriors.sample_truncated_normal(0.3, np.random.default_rng(9))
         assert isinstance(value, float) and value > 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_point_raises_before_drawing(self, bad):
+        # NaN and +inf fall past the cutoff, where the rejection loop would never accept
+        rng = np.random.default_rng(10)
+        with pytest.raises(ValueError, match="finite"):
+            posteriors._truncated_std_normal_above(np.array([5.0, bad]), rng)
+        fresh = np.random.default_rng(10)
+        assert rng.uniform() == fresh.uniform()
+
     # 3.9 takes the inverse-CDF branch, 4.1 the rejection branch past _TAIL_CUTOFF
     @pytest.mark.parametrize("alpha, seed", [(-2.0, 31), (0.0, 32), (3.9, 33), (4.1, 34)])
     def test_law_matches_scipy_truncnorm(self, alpha, seed):

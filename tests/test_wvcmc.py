@@ -247,7 +247,7 @@ class TestSharedBound:
         k, d, s = 3, 2, 60
         thetas = rng.standard_normal((s, k, d))
         enc = channel.RepetitionEncoding(d, 2, 0.8)
-        ys = channel.transmit_noma(thetas, enc, 0.2, rng)
+        ys = channel.transmit(thetas, [enc], 0.2, rng)
         init = np.linalg.pinv(enc.matrix())[None] / k
         result = wvcmc.run_wvcmc(
             ys, init, [enc.matrix()], k, posteriors.gaussian_joint_grad_fn(np.eye(d) / k),
@@ -266,7 +266,7 @@ class TestRunWvcmc:
         )
         encs = channel.oma_encodings([1.0] * k, d, 1)
         n0 = 0.2
-        ys = channel.transmit_oma(thetas, encs, n0, rng)
+        ys = channel.transmit(thetas, encs, n0, rng)
         _, global_cov = aggregators.gaussian_product(covs)
         return covs, encs, n0, ys, global_cov
 
@@ -436,15 +436,16 @@ class TestInitWeights:
             data={"n": 200, "n_test": 0},
             reference={"n_samples": 1000, "burn_in": 10},
         )
-        assert link.noma_enc.reps == 2
-        pinv = np.linalg.pinv(link.noma_enc.matrix())
+        (enc,) = link.encs["noma"]
+        assert enc.reps == 2
+        pinv = np.linalg.pinv(enc.matrix())
         np.testing.assert_allclose(link.noma_start, pinv[None] / 3)
 
     def test_oma_composes_decoders(self):
         link, _ = start_link(channel="iid-gaussian", schemes={"gcmc": {}})
         square = aggregators.gcmc_weights(link.decoded)
         start = link.oma_start
-        for k, enc in enumerate(link.oma_enc):
+        for k, enc in enumerate(link.encs["oma"]):
             assert enc.reps == 2
             np.testing.assert_allclose(start[k], square[k] @ enc.decode_matrix())
 
