@@ -29,6 +29,19 @@ def _add_common(parser: argparse.ArgumentParser, runs: bool = True) -> None:
         parser.add_argument("--parallel", type=int, default=1, help="trial worker processes")
 
 
+def _numbers(text: str) -> list[float]:
+    """Comma-separated numbers; a token that is not one is a usage error naming it."""
+    values = []
+    for token in filter(None, (t.strip() for t in text.split(","))):
+        try:
+            values.append(float(token))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{token!r} is not a number") from None
+    if not values:
+        raise argparse.ArgumentTypeError("must list at least one number")
+    return values
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="wcmc", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -42,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run the experiment along one axis")
     _add_common(p)
     p.add_argument("--axis", required=True, choices=("snr", "t", "k", "zeta"))
-    p.add_argument("--values", required=True, help="comma-separated axis values")
+    p.add_argument("--values", required=True, type=_numbers, help="comma-separated axis values")
 
     p = sub.add_parser("report", help="summarize a result CSV")
     p.add_argument("--out", required=True, help="result CSV to summarize")
@@ -79,11 +92,8 @@ def main(argv=None) -> int:
     if args.command == "run":
         rows = run_experiment(config, parallel=args.parallel)
     else:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
-        if not values:
-            raise SystemExit("--values must list at least one number")
-        rows = sweep(config, args.axis, values, parallel=args.parallel)
-        extra["sweep"] = {"axis": args.axis, "values": values}
+        rows = sweep(config, args.axis, args.values, parallel=args.parallel)
+        extra["sweep"] = {"axis": args.axis, "values": args.values}
 
     write_rows(out, rows)
     write_manifest(out, config, extra={"rows_written": len(rows), **extra})

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 
@@ -45,8 +46,9 @@ def _check_fields(cls, section: dict, where: str) -> None:
 
 def _number(hint, value, where: str):
     """``value`` for a field annotated ``hint``.  An int field takes integral
-    numbers only (2 or 2.0, not 2.7) and a float field any number; neither
-    takes a bool or a string.  Other fields pass through unchanged."""
+    numbers only (2 or 2.0, not 2.7) and a float field any number but NaN
+    (±inf passes: an infinite SNR is a noiseless link); neither takes a bool
+    or a string.  Other fields pass through unchanged."""
     kinds = typing.get_args(hint) or (hint,)
     kind = int if int in kinds else float if float in kinds else None
     if kind is None or (value is None and type(None) in kinds):
@@ -54,7 +56,7 @@ def _number(hint, value, where: str):
     is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind is int and is_number and (isinstance(value, int) or value.is_integer()):
         return int(value)
-    if kind is float and is_number:
+    if kind is float and is_number and not math.isnan(value):
         return float(value)
     expected = "an integer" if kind is int else "a number"
     raise ConfigError(f"{where} must be {expected}, got {value!r}")
@@ -148,7 +150,8 @@ class DataParams:
             raise ConfigError("n must be positive")
         if self.n_test < 0:
             raise ConfigError("n_test must be non-negative")
-        object.__setattr__(self, "theta_star", tuple(float(x) for x in self.theta_star))
+        theta = tuple(_number(float, x, "data.theta_star") for x in self.theta_star)
+        object.__setattr__(self, "theta_star", theta)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,15 @@ superposed samples otherwise), each scheme and its metrics.  Every source
 of randomness is a counter-based substream keyed by (master seed, trial,
 stage), so adding schemes or running trials in parallel never perturbs
 existing streams.
+
+A probit world's Gibbs products are cached in the process under everything
+the chains read (``_chain_key``: seed, trial, data, prior, reference, K,
+partition, burn-in and S), up to ``CHAIN_CACHE_BYTES`` with the least recently
+used evicted first, so an SNR or channel sweep, or configs that differ only
+in their link, run each trial's chains once.  The toy's world is closed-form
+plus a few draws, too cheap to cache.  Each ``--parallel`` pool process has
+its own cache and ``sweep`` starts a pool per point, so parallel sweep points
+do not share chains.
 """
 
 from __future__ import annotations
@@ -17,13 +26,16 @@ from __future__ import annotations
 import csv
 import json
 import os
+import subprocess
 import time
+from collections import OrderedDict
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
+import scipy
 from numpy.random import Generator, Philox, SeedSequence
 
 from .. import __version__
@@ -101,10 +113,26 @@ class World:
                 value.flags.writeable = False
 
 
+# (reference moment, reference prediction, worker draws) by chain key, least
+# recently used first.  An S = 50, K = 20, d = 5 entry is about 48 KB.
+_CHAINS: OrderedDict = OrderedDict()
+CHAIN_CACHE_BYTES = 64 * 2**20
+
+
+def chain_cache_bytes() -> int:
+    """Bytes of array data the cached chain products hold."""
+    return sum(a.nbytes for entry in _CHAINS.values() for a in entry if a is not None)
+
+
+def _draw_count(config: ExperimentConfig) -> int:
+    """S, the draws each worker makes: the most any transmitting scheme sends."""
+    return max(config.s_oma * config.uses_oma, config.s_noma * config.uses_noma)
+
+
 def _worker_draws(config: ExperimentConfig, trial: int, draw) -> np.ndarray:
     """(s_max, K, d) stack of ``draw(k, s_max, rng)`` over the workers, each
     on its own substream; no draws when no scheme transmits."""
-    k, s = config.n_workers, max(config.s_oma * config.uses_oma, config.s_noma * config.uses_noma)
+    k, s = config.n_workers, _draw_count(config)
     if not s:
         return np.empty((0, k, config.dim))
     draws = [draw(j, s, substream(config.seed, trial, "worker", j)) for j in range(k)]
@@ -120,7 +148,8 @@ def gaussian_world(config: ExperimentConfig, trial: int) -> World:
 
 
 def probit_world(config: ExperimentConfig, trial: int) -> World:
-    """Data, partition and minibatch sizes are checked before any Gibbs chain runs."""
+    """Data, partition and minibatch sizes are checked on every build, before any chain runs."""
+    key = _chain_key(config, trial)  # before the load: a CSV rewritten meanwhile misses next time
     dataset, test_u = _load_data(config, substream(config.seed, trial, "data"))
     if dataset.dim != config.dim:
         raise ValueError(
@@ -139,6 +168,19 @@ def probit_world(config: ExperimentConfig, trial: int) -> World:
             raise ValueError(
                 f"{name}: minibatch size n_b={n_b} exceeds the {dataset.size} training rows"
             )
+    hit = _CHAINS.pop(key, None)
+    moment, prediction, draws = hit or _probit_chains(config, trial, dataset, test_u, shards_idx)
+    grad = probit_joint_grad_fn(dataset.covariates, dataset.labels, config.prior_variance)
+    world = World(draws, moment, grad, dataset.size, test_u, reference_prediction=prediction)
+    _CHAINS[key] = (moment, prediction, draws)  # now the most recent; World made them read-only
+    while chain_cache_bytes() > CHAIN_CACHE_BYTES:
+        _CHAINS.popitem(last=False)
+    return world
+
+
+def _probit_chains(config, trial, dataset, test_u, shards_idx) -> tuple:
+    """The reference chain's second moment and test prediction (None without
+    test rows), and the workers' draws."""
     ref_samples = gibbs_probit_sampler(
         ProbitShard(dataset.covariates, dataset.labels, config.prior_variance),
         config.reference.n_samples,
@@ -152,14 +194,20 @@ def probit_world(config: ExperimentConfig, trial: int) -> World:
         trial,
         lambda j, s, rng: gibbs_probit_sampler(shards[j], s, rng, burn_in=config.gibbs_burn_in),
     )
-    return World(
-        draws,
-        second_moment(ref_samples),
-        probit_joint_grad_fn(dataset.covariates, dataset.labels, config.prior_variance),
-        n_data=dataset.size,
-        test_covariates=test_u,
-        reference_prediction=None if test_u is None else ensemble_predict(ref_samples, test_u),
-    )
+    prediction = None if test_u is None else ensemble_predict(ref_samples, test_u)
+    return second_moment(ref_samples), prediction, draws
+
+
+def _chain_key(config: ExperimentConfig, trial: int) -> tuple:
+    """Everything a probit world's Gibbs chains read; link settings are not in it."""
+    data = config.data
+    if config.scenario == "probit-csv":
+        stat = os.stat(config.csv.path)  # which file, and which version of it
+        data = (config.csv, stat.st_dev, stat.st_ino, stat.st_mtime_ns, stat.st_size)
+    inputs = (config.seed, trial, config.scenario, data, config.dim)
+    reference = (config.prior_variance, config.reference)
+    workers = (config.n_workers, config.partition, config.gibbs_burn_in, _draw_count(config))
+    return inputs + reference + workers
 
 
 def _load_data(config: ExperimentConfig, rng: Generator):
@@ -363,11 +411,10 @@ def apply_axis(config: ExperimentConfig, axis: str, value: float) -> ExperimentC
 
 
 def sweep(config: ExperimentConfig, axis: str, values, parallel: int = 1) -> list[dict]:
-    """Repeat the experiment along one axis with shared per-trial seeds."""
-    rows = []
-    for value in values:
-        rows.extend(run_experiment(apply_axis(config, axis, value), parallel=parallel))
-    return rows
+    """Repeat the experiment along one axis with shared per-trial seeds.
+    Every value is checked before the first point runs."""
+    configs = [apply_axis(config, axis, value) for value in values]
+    return [row for point in configs for row in run_experiment(point, parallel=parallel)]
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +438,20 @@ def manifest_path(out_path: str) -> str:
     return base + ".manifest.json"
 
 
+def _git_revision() -> str | None:
+    """HEAD of the checkout holding this package; None without git or a checkout."""
+    cmd = ["git", "-C", os.path.dirname(os.path.abspath(__file__)), "rev-parse", "HEAD"]
+    try:
+        done = subprocess.run(cmd, capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
 def write_manifest(out_path: str, config: ExperimentConfig, extra: dict | None = None) -> None:
-    """Append one run's record (library version, master seed, resolved config
-    and ``extra``) to the JSON list next to the result CSV.
+    """Append one run's record (library, numpy and scipy versions, git
+    revision, master seed, resolved config and ``extra``) to the JSON list
+    next to the result CSV.
 
     ``write_rows`` appends to the CSV, so the manifest keeps one record per
     run in the same order as the runs' rows.
@@ -407,6 +465,9 @@ def write_manifest(out_path: str, config: ExperimentConfig, extra: dict | None =
             runs = [runs]
     record = {
         "version": __version__,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "git_revision": _git_revision(),
         "master_seed": config.seed,
         "config": resolved_dict(config),
         **(extra or {}),

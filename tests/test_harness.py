@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy
 from scipy.special import ndtr
 
 from wcmc import metrics
@@ -22,6 +23,8 @@ from wcmc.harness.data import (
 )
 from wcmc.harness.runner import apply_axis, run_experiment, sweep, write_manifest, write_rows
 from wcmc.posteriors import gibbs_probit_sampler
+
+NAN = float("nan")
 
 
 def toy_config(**overrides):
@@ -225,6 +228,12 @@ class TestConfigValidation:
             ({"schemes": {"sgld": {"iterations": True}}}, r"schemes\.sgld\.iterations"),
             ({"partition": {"zeta": "0.5"}}, r"partition\.zeta must be a number"),
             ({"reference": {"n_samples": 2000.5}}, r"reference\.n_samples must be an integer"),
+            # NaN passes every `<= 0` check and fails only mid-trial
+            ({"snr_db": NAN}, "snr_db must be a number, got nan"),
+            ({"prior_variance": NAN}, "prior_variance must be a number, got nan"),
+            ({"partition": {"zeta": NAN}}, r"partition\.zeta must be a number, got nan"),
+            ({"schemes": {"wvcmc-oma": {"eta": NAN, "t_m": 2}}}, r"wvcmc-oma\.eta must be a"),
+            ({"data": {"theta_star": [0.5, NAN]}}, r"data\.theta_star must be a number, got nan"),
         ],
     )
     def test_numbers_are_checked_not_truncated(self, overrides, message):
@@ -247,6 +256,7 @@ class TestConfigValidation:
             parse_config([]) if overrides is None else toy_config(**overrides)
 
     def test_integral_and_integer_numbers_accepted(self):
+        assert toy_config(snr_db=float("inf")).snr_db == float("inf")  # a noiseless link
         cfg = toy_config(t_blocks=80.0, snr_db=5, schemes={"sgld": {"n_b": None, "alpha": 1}})
         assert cfg.t_blocks == 80 and isinstance(cfg.t_blocks, int)
         assert cfg.snr_db == 5.0 and isinstance(cfg.snr_db, float)
@@ -261,6 +271,12 @@ class TestConfigValidation:
     def test_sweep_values_are_checked_not_truncated(self, axis, value):
         with pytest.raises(ConfigError, match=f"sweep axis {axis} must be an integer, got {value}"):
             apply_axis(toy_config(), axis, value)
+
+    @pytest.mark.parametrize("axis", ["snr", "zeta", "t"])
+    def test_nan_sweep_value_rejected_before_any_point_runs(self, axis, monkeypatch):
+        monkeypatch.setattr(runner, "run_experiment", lambda *a, **kw: pytest.fail("a point ran"))
+        with pytest.raises(ConfigError, match=f"sweep axis {axis} must be"):
+            sweep(toy_config(), axis, [10.0, float("nan")])
 
     def test_integral_sweep_value_accepted(self):
         cfg = apply_axis(toy_config(), "t", 20.0)
@@ -409,14 +425,113 @@ def probit_config(**overrides):
     return parse_config(doc)
 
 
+def count_chains(monkeypatch) -> list:
+    """The shard sizes of the Gibbs chains the runner starts from now on."""
+    sizes = []
+
+    def recording(shard, *args, **kw):
+        sizes.append(shard.size)
+        return gibbs_probit_sampler(shard, *args, **kw)
+
+    monkeypatch.setattr(runner, "gibbs_probit_sampler", recording)
+    return sizes
+
+
+WORLD_FIELDS = ("worker_samples", "reference_moment", "reference_prediction")
+
+
 class TestWorld:
-    def test_link_settings_leave_the_world_unchanged(self):
-        # SNR and channel are link settings: the world a sweep over them shares
+    def test_link_settings_leave_the_world_unchanged(self, monkeypatch):
+        # SNR, channel and schemes at one S are link settings: the world a sweep
+        # over them shares, built once and bit-equal to a cold build
         a = runner.build_world(probit_config(snr_db=0.0, channel="identity"), 0)
-        b = runner.build_world(probit_config(snr_db=20.0, channel="iid-gaussian"), 0)
-        for field in ("worker_samples", "reference_moment", "reference_prediction"):
-            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
         assert a.worker_samples.shape == (30, 3, 2)
+        chains = count_chains(monkeypatch)
+        for link in (
+            {"snr_db": 20.0, "channel": "iid-gaussian"},
+            {"snr_db": float("inf")},
+            # the same S = T = 30 draws per worker from another scheme mix
+            {"schemes": {"wgcmc-noma": {}, "wvcmc-noma": {"eta": 1e-3, "t_m": 2}}},
+        ):
+            b = runner.build_world(probit_config(**link), 0)
+            assert chains == []
+            runner._CHAINS.clear()
+            c = runner.build_world(probit_config(**link), 0)
+            assert len(chains) == 1 + 3
+            chains.clear()
+            for field in WORLD_FIELDS:
+                np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+                np.testing.assert_array_equal(getattr(a, field), getattr(c, field))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"seed": 9},
+            {"trial": 1},
+            {"n_workers": 2},
+            {"partition": {"rule": "heterogeneous", "zeta": 0.5}},
+            {"prior_variance": 2.0},
+            {"reference": {"n_samples": 1100, "burn_in": 10}},
+            {"reference": {"n_samples": 1000, "burn_in": 11}},
+            {"gibbs_burn_in": 50},
+            {"data": {"n": 301, "theta_star": [0.5, -0.5], "n_test": 20}},
+            {"t_blocks": 33},  # S
+        ],
+        ids=lambda o: next(iter(o)) if len(o) == 1 else str(o),
+    )
+    def test_what_the_chains_read_is_in_the_key(self, monkeypatch, overrides):
+        overrides = dict(overrides)
+        trial = overrides.pop("trial", 0)
+        runner.build_world(probit_config(), 0)
+        chains = count_chains(monkeypatch)
+        cfg = probit_config(**overrides)
+        runner.build_world(cfg, trial)
+        assert len(chains) == 1 + cfg.n_workers
+
+    def test_rewritten_csv_rebuilds(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.csv"
+        cfg = probit_config(scenario="probit-csv", csv={"path": str(path)}, data=None)
+        export_csv(gen_probit_data(300, 2, [0.5, -0.5], np.random.default_rng(1)), path)
+        a = runner.build_world(cfg, 0)
+        chains = count_chains(monkeypatch)
+        export_csv(gen_probit_data(320, 2, [0.5, -0.5], np.random.default_rng(2)), path)
+        b = runner.build_world(cfg, 0)
+        assert len(chains) == 1 + 3
+        assert not np.array_equal(a.reference_moment, b.reference_moment)
+        runner.build_world(cfg, 0)
+        assert len(chains) == 1 + 3  # the unchanged file hits
+
+    def test_byte_bound_evicts_the_least_recently_used(self, monkeypatch):
+        runner.build_world(probit_config(seed=1), 0)
+        entry = runner.chain_cache_bytes()
+        monkeypatch.setattr(runner, "CHAIN_CACHE_BYTES", entry * 3 // 2)
+        runner.build_world(probit_config(seed=2), 0)
+        assert runner.chain_cache_bytes() == entry
+        chains = count_chains(monkeypatch)
+        runner.build_world(probit_config(seed=2), 0)
+        assert chains == []
+        runner.build_world(probit_config(seed=1), 0)
+        assert len(chains) == 1 + 3
+
+    def test_minibatch_check_still_fires_on_a_hit(self, monkeypatch):
+        runner.build_world(probit_config(), 0)
+        chains = count_chains(monkeypatch)
+        too_big = {"wvcmc-noma": {"eta": 1e-3, "t_m": 2, "n_b": 301}}  # same S = 30
+        with pytest.raises(ValueError, match="n_b=301 exceeds the 300 training rows"):
+            runner.build_world(probit_config(schemes=too_big), 0)
+        assert chains == []
+
+    def test_probit_snr_sweep_matches_cold_points(self, monkeypatch):
+        cfg = probit_config(trials=2)
+        values = [0.0, 10.0, float("inf")]
+        chains = count_chains(monkeypatch)
+        swept = sweep(cfg, "snr", values)
+        assert len(chains) == cfg.trials * (1 + cfg.n_workers)  # each trial's chains once
+        cold = []
+        for value in values:
+            runner._CHAINS.clear()
+            cold.extend(run_experiment(apply_axis(cfg, "snr", value)))
+        assert strip_timing(swept) == strip_timing(cold)
 
     def test_reference_summarised_from_its_draws(self, monkeypatch):
         chains = []
@@ -463,6 +578,23 @@ class TestResultFiles:
         assert doc["master_seed"] == 11
         assert doc["config"]["scenario"] == "gaussian-toy"
         assert doc["rows_written"] == 3
+
+    def test_manifest_records_the_code(self, tmp_path, monkeypatch):
+        out = tmp_path / "results.csv"
+        write_manifest(out, toy_config())
+        [doc] = json.loads((tmp_path / "results.manifest.json").read_text())
+        assert (doc["numpy"], doc["scipy"]) == (np.__version__, scipy.__version__)
+        rev = doc["git_revision"]
+        assert rev is None or (len(rev) == 40 and int(rev, 16) >= 0)
+
+        # without git the revision is null and the run goes on
+        def no_git(*args, **kwargs):
+            raise FileNotFoundError("git")
+
+        monkeypatch.setattr(runner.subprocess, "run", no_git)
+        write_manifest(out, toy_config())
+        runs = json.loads((tmp_path / "results.manifest.json").read_text())
+        assert runs[1]["git_revision"] is None
 
     def test_manifest_from_older_version_kept(self, tmp_path):
         # a manifest holding one run's record as a bare object becomes the first record
@@ -714,6 +846,16 @@ class TestCli:
         [manifest] = json.loads((tmp_path / "sweep.manifest.json").read_text())
         assert manifest["sweep"] == {"axis": "snr", "values": [0.0, 10.0]}
         assert manifest["rows_written"] == 2
+
+    @pytest.mark.parametrize(
+        "values, message", [("0,abc", "'abc' is not a number"), (" , ", "must list at least one")]
+    )
+    def test_sweep_values_must_be_numbers(self, tmp_path, capsys, values, message):
+        argv = ["sweep", "--config", "c.json", "--axis", "snr", "--values", values, "--out", "o"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2  # a usage error, before the config is read
+        assert f"argument --values: {message}" in capsys.readouterr().err
 
     def test_two_runs_keep_both_records(self, tmp_path):
         # the CSV gains both runs' rows, and the manifest one record per run, in row order
