@@ -4,8 +4,9 @@ One communication block carries one model sample per scheduled worker.  The
 model's transmitted vector is x = H^+ E theta (zero-forcing times a
 repetition encoder), so the receive side sees y = E theta + n exactly.  The
 channel matrix H therefore never enters the simulation: the power budget
-needs only its mean inverse gram E[(H H^T)^{-1}], which ``ChannelModel``
-gives in closed form.
+needs only its mean inverse gram E[(H H^T)^{-1}], which callers pass in: I
+for H = I, and I / (m_t - m_r - 1) for i.i.d. standard Gaussian entries
+(H H^T is Wishart), which is I again at m_t = m_r + 2.
 
 Received blocks have shape (S, R, m_r): S blocks, R receive vectors per
 block, receiver r carrying K/R consecutive workers.  Orthogonal access (OMA)
@@ -24,57 +25,9 @@ import numpy as np
 POWER_RTOL = 1e-6
 
 
-@dataclass(frozen=True)
-class ChannelModel:
-    """Channel law: identity (flat) or i.i.d. standard Gaussian entries, (m_r, m_t)."""
-
-    kind: str  # "identity" | "iid-gaussian"
-    m_t: int
-    m_r: int
-
-    def __post_init__(self):
-        if self.kind not in ("identity", "iid-gaussian"):
-            raise ValueError(f"unknown channel kind {self.kind!r}")
-        if not self.m_t >= self.m_r >= 1:
-            raise ValueError(f"need m_t >= m_r >= 1, got m_t={self.m_t}, m_r={self.m_r}")
-        if self.kind == "identity" and self.m_t != self.m_r:
-            raise ValueError("identity channels require m_t == m_r")
-
-    def mean_inverse_gram(self) -> np.ndarray:
-        """Analytic E[(H H^T)^{-1}].
-
-        Identity channels give I.  For i.i.d. Gaussian entries H H^T is
-        Wishart(m_t, I), whose inverse has mean I / (m_t - m_r - 1); with
-        m_t = m_r + 2 this is exactly I.
-        """
-        if self.kind == "identity":
-            return np.eye(self.m_r)
-        excess = self.m_t - self.m_r - 1
-        if excess < 1:
-            raise ValueError(
-                f"mean inverse gram requires m_t >= m_r + 2, got m_t={self.m_t}, m_r={self.m_r}"
-            )
-        return np.eye(self.m_r) / excess
-
-
-@dataclass(frozen=True)
-class PowerConfig:
-    """Per-block power budget and noise level."""
-
-    p: float
-    n0: float
-
-    def __post_init__(self):
-        if self.p <= 0:
-            raise ValueError(f"power budget must be positive, got {self.p}")
-        if self.n0 < 0:
-            raise ValueError(f"noise variance must be non-negative, got {self.n0}")
-
-    @classmethod
-    def from_snr_db(cls, snr_db: float, m_r: int, p: float = 1.0) -> "PowerConfig":
-        """Build from SNR = P / (m_r N0) in dB; m_r is d or 2d depending on setup."""
-        n0 = p / (m_r * 10.0 ** (snr_db / 10.0))
-        return cls(p=p, n0=n0)
+def noise_variance(snr_db: float, m_r: int) -> float:
+    """N0 at SNR = P / (m_r N0) in dB with a unit power budget P = 1."""
+    return 1.0 / (m_r * 10.0 ** (snr_db / 10.0))
 
 
 def fold_matrix(dim: int, reps: int) -> np.ndarray:

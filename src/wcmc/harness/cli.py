@@ -12,8 +12,9 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from typing import NoReturn
 
-from .config import load_config
+from .config import ConfigError, load_config
 from .data import export_csv, gen_probit_data
 from .report import format_summary, load_rows, summarize
 from .runner import run_experiment, substream, sweep, write_manifest, write_rows
@@ -26,7 +27,18 @@ def _add_common(parser: argparse.ArgumentParser, runs: bool = True) -> None:
     parser.add_argument("--out", required=not runs, help="output path")
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
     if runs:
-        parser.add_argument("--parallel", type=int, default=1, help="trial worker processes")
+        parser.add_argument("--parallel", type=_count, default=1, help="trial worker processes")
+
+
+def _count(text: str) -> int:
+    """A process count of at least 1; anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _numbers(text: str) -> list[float]:
@@ -68,15 +80,31 @@ def _resolve(args) -> tuple:
         config = replace(config, seed=args.seed)
     out = args.out or config.output
     if out is None:
-        raise SystemExit("no output path: pass --out or set 'output' in the config")
+        raise ConfigError("no output path: pass --out or set 'output' in the config")
     return config, out
+
+
+def _fail(message: str) -> NoReturn:
+    """End the command with one error line and exit status 2, as a usage error does."""
+    print(f"wcmc: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _command(args)
+    except ConfigError as exc:
+        _fail(str(exc))
 
+
+def _command(args) -> int:
     if args.command == "report":
-        print(format_summary(summarize(load_rows(args.out))))
+        try:
+            rows = load_rows(args.out)
+        except OSError as exc:
+            _fail(f"cannot read results {args.out}: {exc.strerror or exc}")
+        print(format_summary(summarize(rows)))
         return 0
 
     config, out = _resolve(args)

@@ -47,8 +47,9 @@ def _check_fields(cls, section: dict, where: str) -> None:
 def _number(hint, value, where: str):
     """``value`` for a field annotated ``hint``.  An int field takes integral
     numbers only (2 or 2.0, not 2.7) and a float field any number but NaN
-    (±inf passes: an infinite SNR is a noiseless link); neither takes a bool
-    or a string.  Other fields pass through unchanged."""
+    (±inf passes: +inf SNR is a noiseless link, and ``ExperimentConfig``
+    rejects -inf); neither takes a bool or a string.  Other fields pass
+    through unchanged."""
     kinds = typing.get_args(hint) or (hint,)
     kind = int if int in kinds else float if float in kinds else None
     if kind is None or (value is None and type(None) in kinds):
@@ -161,6 +162,12 @@ class CsvParams:
     pca_dim: int | None = None
     n_test: int = 0
 
+    def __post_init__(self):
+        if self.pca_dim is not None and self.pca_dim < 1:
+            raise ConfigError(f"csv.pca_dim must be positive, got {self.pca_dim}")
+        if self.n_test < 0:
+            raise ConfigError(f"csv.n_test must be non-negative, got {self.n_test}")
+
 
 @dataclass(frozen=True)
 class ReferenceParams:
@@ -184,7 +191,6 @@ class ExperimentConfig:
     seed: int
     schemes: dict
     dim: int = 5
-    channel: str | None = None  # default: identity for the toy, iid-gaussian otherwise
     subposteriors: str = "heterogeneous"  # toy covariance family
     prior_variance: float = 1.0
     partition: PartitionParams = field(default_factory=PartitionParams)
@@ -203,6 +209,8 @@ class ExperimentConfig:
             raise ConfigError("trials must be positive")
         if self.t_blocks < 1:
             raise ConfigError("t_blocks must be positive")
+        if self.snr_db == -math.inf:
+            raise ConfigError("snr_db must be above -inf: the link would carry no signal")
         if self.prior_variance <= 0:
             raise ConfigError("prior_variance must be positive")
         if self.dim < 1:
@@ -219,19 +227,10 @@ class ExperimentConfig:
             )
         if self.scenario == "probit-csv" and self.csv is None:
             raise ConfigError("probit-csv runs need a csv section")
-        if self.channel is not None and self.channel not in ("identity", "iid-gaussian"):
-            raise ConfigError(f"unknown channel kind {self.channel!r}")
         if self.scenario == "gaussian-toy":
             for name, params in self.schemes.items():
-                if not isinstance(params, WvcmcParams):
-                    continue
-                if params.n_b is not None:
+                if isinstance(params, WvcmcParams) and params.n_b is not None:
                     raise ConfigError(f"{name}: the toy scenario has no data set to minibatch")
-                if SCHEMES[name].mode == "noma" and self.channel_kind != "identity":
-                    raise ConfigError(
-                        f"{name}: the toy scenario starts the NOMA weight at I/K, which needs "
-                        f"the identity channel, not {self.channel_kind!r}"
-                    )
 
     @property
     def uses_oma(self) -> bool:
@@ -240,12 +239,6 @@ class ExperimentConfig:
     @property
     def uses_noma(self) -> bool:
         return any(SCHEMES[name].mode == "noma" for name in self.schemes)
-
-    @property
-    def channel_kind(self) -> str:
-        if self.channel is not None:
-            return self.channel
-        return "identity" if self.scenario == "gaussian-toy" else "iid-gaussian"
 
     @property
     def s_oma(self) -> int:
@@ -295,11 +288,13 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     return parse_config(doc)
 
 

@@ -18,11 +18,10 @@ DEFAULT_THETA_STAR = (0.1103, -0.5832, 0.6417, 1.8279, 0.4968)
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Covariate matrix (N, d) with binary labels and a provenance note."""
+    """Covariate matrix (N, d) with binary labels."""
 
     covariates: np.ndarray
     labels: np.ndarray
-    note: str = ""
 
     def __post_init__(self):
         u = np.asarray(self.covariates, dtype=float)
@@ -67,7 +66,6 @@ def gen_probit_data(
     dim: int,
     theta_star,
     rng: np.random.Generator,
-    note: str = "synthetic probit",
 ) -> LabeledDataset:
     """Synthetic probit data: standard normal covariates, labels 1 w.p. Phi(theta*^T u)."""
     theta_star = np.asarray(theta_star, dtype=float)
@@ -75,7 +73,7 @@ def gen_probit_data(
         raise ValueError(f"theta_star must have length {dim}, got {theta_star.shape}")
     u = rng.standard_normal((n, dim))
     labels = (rng.uniform(size=n) < ndtr(u @ theta_star)).astype(int)
-    return LabeledDataset(u, labels, note=note)
+    return LabeledDataset(u, labels)
 
 
 def _largest_remainder(fractions: np.ndarray, total: int) -> np.ndarray:
@@ -197,7 +195,7 @@ def ingest_csv(
     x = (x - x.mean(axis=0)) / np.where(std > 0, std, 1.0)
     if pca_dim is not None and pca_dim != x.shape[1]:
         x, _ = pca_project(x, pca_dim)
-    return LabeledDataset(x, np.asarray(labels), note=f"csv:{path}")
+    return LabeledDataset(x, np.asarray(labels))
 
 
 def export_csv(dataset: LabeledDataset, path: str, label_column: str = "label") -> None:

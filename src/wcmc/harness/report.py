@@ -26,7 +26,8 @@ def summarize(rows: list[dict]) -> list[dict]:
             bucket["kl"].append(float(row["kl"]))
 
     out = []
-    for key in sorted(groups):
+    # CSV cells are strings: sweep points sort by value, not by text
+    for key in sorted(groups, key=lambda key: (key[0], *map(float, key[1:]))):
         bucket = groups[key]
         err = np.asarray(bucket["err2"])
         entry = dict(zip(GROUP_COLUMNS, key))

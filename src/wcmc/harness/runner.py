@@ -14,8 +14,8 @@ existing streams.
 A probit world's Gibbs products are cached in the process under everything
 the chains read (``_chain_key``: seed, trial, data, prior, reference, K,
 partition, burn-in and S), up to ``CHAIN_CACHE_BYTES`` with the least recently
-used evicted first, so an SNR or channel sweep, or configs that differ only
-in their link, run each trial's chains once.  The toy's world is closed-form
+used evicted first, so an SNR sweep, or configs that differ only in their
+link, run each trial's chains once.  The toy's world is closed-form
 plus a few draws, too cheap to cache.  Each ``--parallel`` pool process has
 its own cache and ``sweep`` starts a pool per point, so parallel sweep points
 do not share chains.
@@ -41,14 +41,7 @@ from numpy.random import Generator, Philox, SeedSequence
 from .. import __version__
 from ..aggregators import apply_weights, gaussian_product, gcmc_weights, wgcmc_noma, wgcmc_oma
 from ..baselines import SgldSchedule, best_single_worker, sgld_run
-from ..channel import (
-    ChannelModel,
-    PowerConfig,
-    noma_encoding,
-    oma_encodings,
-    power_scale,
-    transmit,
-)
+from ..channel import noise_variance, noma_encoding, oma_encodings, power_scale, transmit
 from ..metrics import ensemble_predict, kl_ensemble, second_moment, second_order_error
 from ..posteriors import (
     ProbitShard,
@@ -223,7 +216,7 @@ def _load_data(config: ExperimentConfig, rng: Generator):
         order = rng.permutation(full.size)
         test = order[: config.csv.n_test]
         train = np.sort(order[config.csv.n_test :])
-        dataset = LabeledDataset(full.covariates[train], full.labels[train], note=full.note)
+        dataset = LabeledDataset(full.covariates[train], full.labels[train])
         return dataset, full.covariates[test]
     return full, None
 
@@ -240,23 +233,22 @@ class SchemeOutput:
 
 
 class Link:
-    """One trial's link over its world.  The received blocks of each access
-    mode are built once and shared by the schemes of that mode.  The
-    ``run_*`` methods are the ones ``config.SCHEMES`` names; each takes its
-    scheme's access mode and parameters and reads the world, never writes it."""
+    """One trial's link over its world.  The scenario fixes the channel: one
+    repetition per block on the toy, two on probit.  The received blocks of
+    each access mode are built once and shared by the schemes of that mode.
+    The ``run_*`` methods are the ones ``config.SCHEMES`` names; each takes
+    its scheme's access mode and parameters and reads the world, never
+    writes it."""
 
     def __init__(self, world: World, config: ExperimentConfig, trial: int):
         self.world, self.config, self.trial = world, config, trial
         dim, k = config.dim, config.n_workers
-        if config.channel_kind == "identity":
-            self.reps = 1
-            channel = ChannelModel("identity", dim, dim)
-        else:
-            self.reps = 2
-            channel = ChannelModel("iid-gaussian", 2 * dim + 2, 2 * dim)
-        power = PowerConfig.from_snr_db(config.snr_db, channel.m_r)
-        gram = channel.mean_inverse_gram()
-        self.n0 = power.n0
+        self.reps = 1 if config.scenario == "gaussian-toy" else 2
+        m_r = self.reps * dim
+        # E[(H H^T)^{-1}] = I on every scenario: H = I on the toy, and on
+        # probit H H^T is Wishart with m_t = m_r + 2, whose inverse has mean I.
+        gram = np.eye(m_r)
+        self.n0 = noise_variance(config.snr_db, m_r)
         self.encs, self.ys = {}, {}  # encoder list and received blocks by access mode
         for mode, s in (
             ("oma", config.s_oma * config.uses_oma),
@@ -265,7 +257,7 @@ class Link:
             if not s:
                 continue
             thetas = world.worker_samples[:s]
-            scales = [power_scale(thetas[:, j], gram, self.reps, power.p) for j in range(k)]
+            scales = [power_scale(thetas[:, j], gram, self.reps, 1.0) for j in range(k)]
             if mode == "oma":
                 self.encs[mode] = oma_encodings(scales, dim, self.reps)
             else:
@@ -289,7 +281,7 @@ class Link:
     @property
     def noma_start(self) -> np.ndarray:
         """E^+ / K as a stack of one, the NOMA weight wvcmc-noma starts from;
-        I/K on the toy, as it prescribes (its config needs the identity channel)."""
+        I/K on the toy, as it prescribes."""
         k = self.config.n_workers
         if self.world.n_data is None:
             return np.eye(self.config.dim)[None] / k
@@ -383,6 +375,8 @@ def run_trial(config: ExperimentConfig, trial: int) -> list[dict]:
 
 def run_experiment(config: ExperimentConfig, parallel: int = 1) -> list[dict]:
     """Run every trial and scheme; rows come back ordered by (trial, scheme)."""
+    if parallel < 1:
+        raise ValueError(f"parallel must be at least 1, got {parallel}")
     trials = range(config.trials)
     if parallel > 1 and config.trials > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:

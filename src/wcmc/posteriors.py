@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
 
-from .matops import EIG_RTOL, _require_symmetric, psd_factor
+from .matops import EIG_RTOL, _require_symmetric, psd_factor, sample_mvn, symmetrize
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -52,8 +52,6 @@ class GaussianSubposterior:
         return self.cov.shape[0]
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        from .matops import sample_mvn
-
         return sample_mvn(np.zeros(self.dim), self.cov, rng, size=size)
 
     def entropy(self) -> float:
@@ -193,8 +191,7 @@ def probit_log_joint_fn(covariates: np.ndarray, labels: np.ndarray, sigma2: floa
 
 def gaussian_joint_grad_fn(cov: np.ndarray):
     """Gradient callback for a known zero-mean Gaussian target: -C^{-1} theta."""
-    precision = np.linalg.inv(_require_symmetric(cov, "covariance"))
-    precision = 0.5 * (precision + precision.T)
+    precision = symmetrize(np.linalg.inv(_require_symmetric(cov, "covariance")))
 
     def grad(thetas: np.ndarray, idx=None) -> np.ndarray:
         return -np.asarray(thetas, dtype=float) @ precision
@@ -204,8 +201,7 @@ def gaussian_joint_grad_fn(cov: np.ndarray):
 
 def gaussian_log_joint_fn(cov: np.ndarray):
     cov = _require_symmetric(cov, "covariance")
-    precision = np.linalg.inv(cov)
-    precision = 0.5 * (precision + precision.T)
+    precision = symmetrize(np.linalg.inv(cov))
     _, logdet = np.linalg.slogdet(cov)
     const = -0.5 * (cov.shape[0] * _LOG_2PI + logdet)
 
@@ -318,8 +314,7 @@ def _gibbs_coefficient_cov(shard: ProbitShard) -> np.ndarray:
     w = np.linalg.eigvalsh(a)
     if w[0] <= 0 or w[-1] / w[0] > _COND_CAP:
         a = a + (_RIDGE_RTOL * np.trace(a) / shard.dim) * np.eye(shard.dim)
-    c = np.linalg.inv(a)
-    return 0.5 * (c + c.T)
+    return symmetrize(np.linalg.inv(a))
 
 
 def gibbs_probit_sampler(

@@ -7,56 +7,67 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from wcmc import channel
+from wcmc.harness import config, runner
+
+
+def monte_carlo_inverse_gram(m_r: int, m_t: int, n: int, rng) -> np.ndarray:
+    """Sample mean of (H H^T)^{-1} over n i.i.d. standard Gaussian (m_r, m_t) channels."""
+    acc = np.zeros((m_r, m_r))
+    for _ in range(n):
+        h = rng.standard_normal((m_r, m_t))
+        acc += np.linalg.inv(h @ h.T)
+    return acc / n
 
 
 class TestChannelModel:
-    def test_dimension_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            channel.ChannelModel("iid-gaussian", 3, 5)
+    """The i.i.d. standard Gaussian channel law: E[(H H^T)^{-1}] =
+    I / (m_t - m_r - 1), the identity the runner passes at m_t = m_r + 2."""
 
     def test_mean_inverse_gram_iid(self):
-        # m_t = m_r + 2 makes the analytic mean inverse gram the identity;
-        # cross-checked by Monte Carlo below.
-        chan = channel.ChannelModel("iid-gaussian", 12, 10)
-        np.testing.assert_allclose(chan.mean_inverse_gram(), np.eye(10))
+        # The probit link sends each block over an i.i.d. Gaussian (m_r, m_r + 2)
+        # channel; its power scales use the closed form, which is the identity.
+        cfg = config.parse_config(
+            {
+                "scenario": "probit-synthetic",
+                "n_workers": 3,
+                "t_blocks": 60,
+                "snr_db": 5.0,
+                "trials": 1,
+                "seed": 4,
+                "data": {"n": 200, "n_test": 0},
+                "reference": {"n_samples": 1000, "burn_in": 10},
+                "schemes": {"gcmc": {}},
+            }
+        )
+        link = runner.Link(runner.build_world(cfg, 0), cfg, 0)
+        m_r = 2 * cfg.dim
+        m_t = m_r + 2
+        gram = np.eye(m_r) / (m_t - m_r - 1)
+        np.testing.assert_array_equal(gram, np.eye(m_r))
+        thetas = link.world.worker_samples[: cfg.s_oma]
+        for k, enc in enumerate(link.encs["oma"]):
+            assert enc.scale == pytest.approx(channel.power_scale(thetas[:, k], gram, 2, 1.0))
 
     def test_mean_inverse_gram_monte_carlo(self):
         # At m_t = m_r + 2 the inverse gram has infinite entry variance, so
         # only averaged functionals converge at this sample size: check the
         # mean diagonal against 1 within 5%.
-        chan = channel.ChannelModel("iid-gaussian", 12, 10)
-        rng = np.random.default_rng(3)
-        acc = np.zeros((10, 10))
-        n = 10_000
-        for _ in range(n):
-            h = rng.standard_normal((chan.m_r, chan.m_t))
-            acc += np.linalg.inv(h @ h.T)
-        mean = acc / n
-        assert abs(np.trace(mean) / 10 - np.trace(chan.mean_inverse_gram()) / 10) < 0.05
+        mean = monte_carlo_inverse_gram(10, 12, 10_000, np.random.default_rng(3))
+        assert abs(np.trace(mean) / 10 - 1.0) < 0.05
         assert np.abs(mean - np.diag(np.diag(mean))).max() < 0.15
 
     def test_mean_inverse_gram_monte_carlo_stable_shape(self):
         # With more excess dimensions the estimator has finite variance and
-        # the full matrix converges: E[(H H^T)^{-1}] = I / (m_t - m_r - 1).
-        chan = channel.ChannelModel("iid-gaussian", 16, 10)
-        rng = np.random.default_rng(1)
-        acc = np.zeros((10, 10))
-        n = 10_000
-        for _ in range(n):
-            h = rng.standard_normal((chan.m_r, chan.m_t))
-            acc += np.linalg.inv(h @ h.T)
-        np.testing.assert_allclose(chan.mean_inverse_gram(), np.eye(10) / 5)
-        np.testing.assert_allclose(acc / n, chan.mean_inverse_gram(), atol=0.01)
+        # the full matrix converges to I / (16 - 10 - 1).
+        mean = monte_carlo_inverse_gram(10, 16, 10_000, np.random.default_rng(1))
+        np.testing.assert_allclose(mean, np.eye(10) / 5, atol=0.01)
 
 
-class TestPowerConfig:
+class TestNoiseVariance:
     def test_snr_definition(self):
-        pw = channel.PowerConfig.from_snr_db(5.0, m_r=5, p=1.0)
-        assert pw.n0 == pytest.approx(1.0 / (5 * 10 ** 0.5))
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            channel.PowerConfig(p=0.0, n0=1.0)
+        # SNR = P / (m_r N0) at P = 1
+        assert channel.noise_variance(5.0, m_r=5) == pytest.approx(1.0 / (5 * 10**0.5))
+        assert channel.noise_variance(float("inf"), m_r=5) == 0.0  # a noiseless link
 
 
 class TestPowerScale:
@@ -206,7 +217,6 @@ class TestVerifyPower:
         # the model transmits x = H^+ E theta with a fresh H per block; the
         # budget uses only the channel law's mean inverse gram
         rng = np.random.default_rng(14)
-        chan = channel.ChannelModel("iid-gaussian", 8, 6)
         enc = channel.RepetitionEncoding(3, 2, 0.7)
         samples = rng.standard_normal((4000, 3))
         realized = np.array(
@@ -215,7 +225,8 @@ class TestVerifyPower:
                 for th in samples
             ]
         )
-        expected = channel.expected_block_powers(samples, chan.mean_inverse_gram(), enc)
+        # E[(H H^T)^{-1}] = I / (8 - 6 - 1) = I for these (6, 8) channels
+        expected = channel.expected_block_powers(samples, np.eye(6), enc)
         assert realized.mean() == pytest.approx(expected.mean(), rel=0.1)
 
 

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -186,6 +187,9 @@ class TestConfigValidation:
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown keys"):
             toy_config(typo_field=3)
+        # the scenario fixes the channel, so no config names one
+        with pytest.raises(ConfigError, match=r"unknown keys \['channel'\]"):
+            toy_config(channel="iid-gaussian")
 
     def test_unknown_scheme(self):
         with pytest.raises(ConfigError, match="unknown scheme"):
@@ -202,15 +206,6 @@ class TestConfigValidation:
     def test_toy_minibatch_rejected(self):
         with pytest.raises(ConfigError, match="minibatch"):
             toy_config(schemes={"wvcmc-oma": {"eta": 1e-3, "t_m": 5, "n_b": 10}})
-
-    def test_toy_noma_start_needs_identity_channel(self):
-        with pytest.raises(ConfigError, match="wvcmc-noma.*identity channel.*iid-gaussian"):
-            toy_config(channel="iid-gaussian")
-        # the other schemes run on any channel
-        toy_config(
-            channel="iid-gaussian",
-            schemes={"wgcmc-noma": {}, "wvcmc-oma": {"eta": 1e-3, "t_m": 2}},
-        )
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -234,6 +229,8 @@ class TestConfigValidation:
             ({"partition": {"zeta": NAN}}, r"partition\.zeta must be a number, got nan"),
             ({"schemes": {"wvcmc-oma": {"eta": NAN, "t_m": 2}}}, r"wvcmc-oma\.eta must be a"),
             ({"data": {"theta_star": [0.5, NAN]}}, r"data\.theta_star must be a number, got nan"),
+            # no signal: N0 = 1 / (m_r 10^(-inf)) would divide by zero mid-trial
+            ({"snr_db": -float("inf")}, "snr_db must be above -inf"),
         ],
     )
     def test_numbers_are_checked_not_truncated(self, overrides, message):
@@ -278,9 +275,25 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"sweep axis {axis} must be"):
             sweep(toy_config(), axis, [10.0, float("nan")])
 
+    def test_minus_inf_snr_sweep_rejected_before_any_point_runs(self, monkeypatch):
+        monkeypatch.setattr(runner, "run_experiment", lambda *a, **kw: pytest.fail("a point ran"))
+        with pytest.raises(ConfigError, match="snr_db must be above -inf"):
+            sweep(toy_config(), "snr", [10.0, -float("inf")])
+
     def test_integral_sweep_value_accepted(self):
         cfg = apply_axis(toy_config(), "t", 20.0)
         assert cfg.t_blocks == 20 and isinstance(cfg.t_blocks, int)
+
+    @pytest.mark.parametrize(
+        "csv_section, message",
+        [
+            ({"n_test": -5}, "csv.n_test must be non-negative, got -5"),
+            ({"pca_dim": 0}, "csv.pca_dim must be positive, got 0"),
+        ],
+    )
+    def test_csv_section_checked_at_parse_time(self, csv_section, message):
+        with pytest.raises(ConfigError, match=message):
+            toy_config(scenario="probit-csv", csv={"path": "data.csv", **csv_section})
 
     def test_csv_scenario_needs_csv_section(self):
         with pytest.raises(ConfigError, match="csv"):
@@ -442,13 +455,13 @@ WORLD_FIELDS = ("worker_samples", "reference_moment", "reference_prediction")
 
 class TestWorld:
     def test_link_settings_leave_the_world_unchanged(self, monkeypatch):
-        # SNR, channel and schemes at one S are link settings: the world a sweep
-        # over them shares, built once and bit-equal to a cold build
-        a = runner.build_world(probit_config(snr_db=0.0, channel="identity"), 0)
+        # SNR and schemes at one S are link settings: the world a sweep over
+        # them shares, built once and bit-equal to a cold build
+        a = runner.build_world(probit_config(snr_db=0.0), 0)
         assert a.worker_samples.shape == (30, 3, 2)
         chains = count_chains(monkeypatch)
         for link in (
-            {"snr_db": 20.0, "channel": "iid-gaussian"},
+            {"snr_db": 20.0},
             {"snr_db": float("inf")},
             # the same S = T = 30 draws per worker from another scheme mix
             {"schemes": {"wgcmc-noma": {}, "wvcmc-noma": {"eta": 1e-3, "t_m": 2}}},
@@ -603,6 +616,13 @@ class TestResultFiles:
         write_manifest(out, toy_config(), extra={"rows_written": 6})
         runs = json.loads((tmp_path / "results.manifest.json").read_text())
         assert [run["master_seed"] for run in runs] == [1, 11]
+
+    def test_report_orders_sweep_points_by_value(self, tmp_path):
+        out = tmp_path / "results.csv"
+        rows = run_experiment(toy_config(trials=1, schemes={"gcmc": {}}))
+        write_rows(out, [dict(rows[0], snr_db=snr) for snr in (5.0, 10.0, 0.0)])
+        summary = report.summarize(report.load_rows(out))
+        assert [entry["snr_db"] for entry in summary] == ["0.0", "5.0", "10.0"]
 
     def test_report_summary(self, tmp_path):
         cfg = toy_config(trials=3, schemes={"gcmc": {}, "wgcmc-oma": {}})
@@ -856,6 +876,59 @@ class TestCli:
             cli.main(argv)
         assert exc.value.code == 2  # a usage error, before the config is read
         assert f"argument --values: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("parallel", ["0", "-4", "two"])
+    def test_parallel_must_be_a_positive_count(self, capsys, parallel):
+        argv = ["run", "--config", "c.json", "--out", "o.csv", "--parallel", parallel]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2  # a usage error, before the config is read
+        assert "argument --parallel:" in capsys.readouterr().err
+
+    def test_run_experiment_rejects_no_processes(self):
+        with pytest.raises(ValueError, match="parallel must be at least 1, got 0"):
+            run_experiment(toy_config(), parallel=0)
+
+    @pytest.mark.parametrize(
+        "doc, argv, message",
+        [
+            (None, ["run"], "cannot read config .*missing.json: No such file"),
+            ({"channel": "identity"}, ["run"], r"unknown keys \['channel'\] in config"),
+            ({}, ["sweep", "--axis", "snr", "--values", "0,nan"], "sweep axis snr must be a num"),
+            ({}, ["sweep", "--axis", "snr", "--values=-inf"], "snr_db must be above -inf"),
+            ({"output": None}, ["run"], "no output path"),
+        ],
+    )
+    def test_errors_end_in_one_line(self, tmp_path, capsys, doc, argv, message):
+        # a bad config or an unreadable file is one error line and status 2, no traceback
+        cfg_path = tmp_path / ("missing.json" if doc is None else "toy.json")
+        if doc is not None:
+            base = {
+                "scenario": "gaussian-toy",
+                "n_workers": 3,
+                "t_blocks": 30,
+                "snr_db": 10.0,
+                "trials": 1,
+                "seed": 5,
+                "schemes": {"gcmc": {}},
+            }
+            cfg_path.write_text(json.dumps({**base, **doc}))
+        out = [] if doc == {"output": None} else ["--out", str(tmp_path / "o.csv")]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--config", str(cfg_path)] + out)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("wcmc: error: ") and err.count("\n") == 1
+        assert re.search(message, err)
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_unreadable_result_file_is_one_line(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["report", "--out", str(tmp_path / "none.csv")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            f"wcmc: error: cannot read results {tmp_path / 'none.csv'}: No such file or directory\n"
+        )
 
     def test_two_runs_keep_both_records(self, tmp_path):
         # the CSV gains both runs' rows, and the manifest one record per run, in row order

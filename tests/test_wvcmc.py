@@ -442,7 +442,12 @@ class TestInitWeights:
         np.testing.assert_allclose(link.noma_start, pinv[None] / 3)
 
     def test_oma_composes_decoders(self):
-        link, _ = start_link(channel="iid-gaussian", schemes={"gcmc": {}})
+        link, _ = start_link(
+            scenario="probit-synthetic",
+            data={"n": 200, "n_test": 0},
+            reference={"n_samples": 1000, "burn_in": 10},
+            schemes={"gcmc": {}},
+        )
         square = aggregators.gcmc_weights(link.decoded)
         start = link.oma_start
         for k, enc in enumerate(link.encs["oma"]):
