@@ -17,14 +17,15 @@ from typing import NoReturn
 from .config import ConfigError, load_config
 from .data import export_csv, gen_probit_data
 from .report import format_summary, load_rows, summarize
-from .runner import run_experiment, substream, sweep, write_manifest, write_rows
+from .runner import SWEEP_AXES, run_experiment, substream, sweep, write_manifest, write_rows
 
 
 def _add_common(parser: argparse.ArgumentParser, runs: bool = True) -> None:
-    """Options of every config-driven command; ``runs`` adds --parallel and
-    makes --out optional (the config's ``output`` can stand in)."""
+    """Options of every config-driven command: the config, the output path
+    (required: no config names one) and a seed override; ``runs`` adds
+    --parallel."""
     parser.add_argument("--config", required=True, help="path to the JSON config")
-    parser.add_argument("--out", required=not runs, help="output path")
+    parser.add_argument("--out", required=True, help="output path")
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
     if runs:
         parser.add_argument("--parallel", type=_count, default=1, help="trial worker processes")
@@ -66,22 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run the experiment along one axis")
     _add_common(p)
-    p.add_argument("--axis", required=True, choices=("snr", "t", "k", "zeta"))
+    p.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p.add_argument("--values", required=True, type=_numbers, help="comma-separated axis values")
 
     p = sub.add_parser("report", help="summarize a result CSV")
     p.add_argument("--out", required=True, help="result CSV to summarize")
     return parser
-
-
-def _resolve(args) -> tuple:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    out = args.out or config.output
-    if out is None:
-        raise ConfigError("no output path: pass --out or set 'output' in the config")
-    return config, out
 
 
 def _fail(message: str) -> NoReturn:
@@ -107,7 +98,9 @@ def _command(args) -> int:
         print(format_summary(summarize(rows)))
         return 0
 
-    config, out = _resolve(args)
+    config, out = load_config(args.config), args.out
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
 
     if args.command == "gen-data":
         rng = substream(config.seed, 0, "data")

@@ -198,7 +198,6 @@ class ExperimentConfig:
     csv: CsvParams | None = None
     reference: ReferenceParams = field(default_factory=ReferenceParams)
     gibbs_burn_in: int = 100
-    output: str | None = None
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -227,7 +226,17 @@ class ExperimentConfig:
             )
         if self.scenario == "probit-csv" and self.csv is None:
             raise ConfigError("probit-csv runs need a csv section")
+        if self.scenario == "probit-synthetic" and len(self.data.theta_star) != self.dim:
+            raise ConfigError(
+                f"data.theta_star has {len(self.data.theta_star)} coefficients "
+                f"but the config sets dim={self.dim}"
+            )
         if self.scenario == "gaussian-toy":
+            if self.partition != PartitionParams():
+                raise ConfigError(
+                    "the gaussian-toy scenario has no data set to partition: "
+                    "it takes no partition section or zeta sweep"
+                )
             for name, params in self.schemes.items():
                 if isinstance(params, WvcmcParams) and params.n_b is not None:
                     raise ConfigError(f"{name}: the toy scenario has no data set to minibatch")

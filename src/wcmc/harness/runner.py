@@ -50,7 +50,7 @@ from ..posteriors import (
     probit_joint_grad_fn,
 )
 from ..wvcmc import run_wvcmc
-from .config import SCHEMES, ExperimentConfig, _number, resolved_dict
+from .config import SCHEMES, ConfigError, ExperimentConfig, _number, resolved_dict
 from .data import LabeledDataset, gen_gaussian_scenario, gen_probit_data, ingest_csv, partition
 
 RESULT_COLUMNS = (
@@ -141,24 +141,33 @@ def gaussian_world(config: ExperimentConfig, trial: int) -> World:
 
 
 def probit_world(config: ExperimentConfig, trial: int) -> World:
-    """Data, partition and minibatch sizes are checked on every build, before any chain runs."""
-    key = _chain_key(config, trial)  # before the load: a CSV rewritten meanwhile misses next time
-    dataset, test_u = _load_data(config, substream(config.seed, trial, "data"))
+    """Data, partition and minibatch sizes are checked on every build, before
+    any chain runs; data that cannot serve the config is a ``ConfigError``."""
+    try:
+        # the key before the load: a CSV rewritten meanwhile misses next time
+        key = _chain_key(config, trial)
+        dataset, test_u = _load_data(config, substream(config.seed, trial, "data"))
+    except OSError as exc:  # a missing or unreadable csv.path
+        path = config.csv.path
+        raise ConfigError(f"cannot read csv.path {path}: {exc.strerror or exc}") from None
     if dataset.dim != config.dim:
-        raise ValueError(
+        raise ConfigError(
             f"the data set has {dataset.dim} covariates but the config sets dim={config.dim}"
         )
-    shards_idx = partition(
-        dataset,
-        config.n_workers,
-        substream(config.seed, trial, "partition"),
-        rule=config.partition.rule,
-        zeta=config.partition.zeta,
-    )
+    try:
+        shards_idx = partition(
+            dataset,
+            config.n_workers,
+            substream(config.seed, trial, "partition"),
+            rule=config.partition.rule,
+            zeta=config.partition.zeta,
+        )
+    except ValueError as exc:  # too few points for K workers, or an empty shard
+        raise ConfigError(f"partition: {exc}") from None
     for name, params in config.schemes.items():
         n_b = getattr(params, "n_b", None)
         if n_b is not None and n_b > dataset.size:
-            raise ValueError(
+            raise ConfigError(
                 f"{name}: minibatch size n_b={n_b} exceeds the {dataset.size} training rows"
             )
     hit = _CHAINS.pop(key, None)
@@ -212,7 +221,10 @@ def _load_data(config: ExperimentConfig, rng: Generator):
     full = ingest_csv(config.csv.path, config.csv.label_column, config.csv.pca_dim)
     if config.csv.n_test > 0:
         if config.csv.n_test >= full.size:
-            raise ValueError("csv n_test must leave at least one training row")
+            raise ConfigError(
+                f"csv.n_test={config.csv.n_test} must leave at least one of the "
+                f"{full.size} rows for training"
+            )
         order = rng.permutation(full.size)
         test = order[: config.csv.n_test]
         train = np.sort(order[config.csv.n_test :])
@@ -386,7 +398,7 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1) -> list[dict]:
     return [row for rows in per_trial for row in rows]
 
 
-_SWEEP_AXES = ("snr", "t", "k", "zeta")
+SWEEP_AXES = ("snr", "t", "k", "zeta")
 
 
 def apply_axis(config: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
@@ -401,7 +413,7 @@ def apply_axis(config: ExperimentConfig, axis: str, value: float) -> ExperimentC
     if axis == "zeta":
         zeta = _number(float, value, where)
         return replace(config, partition=replace(config.partition, rule="heterogeneous", zeta=zeta))
-    raise ValueError(f"unknown sweep axis {axis!r}; expected one of {_SWEEP_AXES}")
+    raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
 
 
 def sweep(config: ExperimentConfig, axis: str, values, parallel: int = 1) -> list[dict]:

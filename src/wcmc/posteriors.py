@@ -6,6 +6,12 @@ shard with an underweighted Gaussian prior.  Probit sampling goes through
 the latent-variable Gibbs scheme: each latent is a unit-variance Gaussian
 truncated to the half-line fixed by its label, and the coefficient draw is
 conjugate given the latents.
+
+Each family's log-joint gradient and value are callbacks built by one
+factory (``gaussian_joint_grad_fn``, ``probit_joint_grad_fn`` and their
+``*_log_joint_fn`` pairs), which the weight optimizer and the SGLD baseline
+call with samples and optional minibatch indices.  The probit factories
+check the data and prior variance once, when they are built.
 """
 
 from __future__ import annotations
@@ -118,62 +124,36 @@ def probit_loglik(theta: np.ndarray, u: np.ndarray, v) -> float:
     return float(np.sum(log_ndtr(signs * margins)))
 
 
-def prior_grad(theta: np.ndarray, sigma2: float) -> np.ndarray:
-    """Gradient of the Gaussian prior log density: -theta / sigma^2."""
-    if sigma2 <= 0:
-        raise ValueError(f"prior variance must be positive, got {sigma2}")
-    return -np.asarray(theta, dtype=float) / sigma2
-
-
-def log_joint_grad(
-    theta: np.ndarray,
-    covariates: np.ndarray,
-    labels: np.ndarray,
-    n_total: int,
-    sigma2: float,
-) -> np.ndarray:
-    """Minibatch estimate of the log-joint gradient for the probit model.
-
-    Returns prior_grad + (N / N_b) sum over the batch of per-point likelihood
-    gradients.  ``theta`` may be a single vector (d,) or a stack (S, d).
-    """
-    theta = np.asarray(theta, dtype=float)
-    u = np.atleast_2d(np.asarray(covariates, dtype=float))
-    v = np.atleast_1d(labels)
-    if u.shape[0] < 1:
-        raise ValueError("minibatch must be non-empty")
-    if not 1 <= u.shape[0] <= n_total:
-        raise ValueError(f"batch size {u.shape[0]} outside [1, {n_total}]")
-    single = theta.ndim == 1
-    thetas = theta[None, :] if single else theta
-    margins = thetas @ u.T  # (S, n_b)
-    scores = _probit_scores(margins, v[None, :])
-    grads = prior_grad(thetas, sigma2) + (n_total / u.shape[0]) * scores @ u
-    return grads[0] if single else grads
-
-
-# callback factories used by the weight optimizer and the SGLD baseline;
-# each maps a stack of samples (S, d) and optional minibatch indices to
-# per-sample gradients or log-joint values.
+# callback factories; each closure maps a sample (d,) or a stack (S, d) and
+# optional minibatch indices to per-sample gradients or log-joint values.
 
 
 def probit_joint_grad_fn(covariates: np.ndarray, labels: np.ndarray, sigma2: float):
-    u = np.asarray(covariates, dtype=float)
-    v = np.asarray(labels)
+    """The probit log-joint gradient under the prior N(0, sigma2 I).
+
+    The callback returns -theta / sigma2 + (N / N_b) times the summed
+    likelihood gradients of minibatch ``idx`` (all N rows when None).
+    """
+    shard = ProbitShard(covariates, labels, sigma2)
+    u, v, n = shard.covariates, shard.labels, shard.size
 
     def grad(thetas: np.ndarray, idx=None) -> np.ndarray:
-        if idx is None:
-            return log_joint_grad(thetas, u, v, u.shape[0], sigma2)
-        return log_joint_grad(thetas, u[idx], v[idx], u.shape[0], sigma2)
+        thetas = np.asarray(thetas, dtype=float)
+        ub, vb = (u, v) if idx is None else (u[idx], v[idx])
+        if ub.shape[0] < 1:
+            raise ValueError("minibatch must be non-empty")
+        stack = np.atleast_2d(thetas)
+        scores = _probit_scores(stack @ ub.T, vb)  # (S, N_b)
+        grads = -stack / sigma2 + (n / ub.shape[0]) * scores @ ub
+        return grads[0] if thetas.ndim == 1 else grads
 
     return grad
 
 
 def probit_log_joint_fn(covariates: np.ndarray, labels: np.ndarray, sigma2: float):
-    u = np.asarray(covariates, dtype=float)
-    v = np.asarray(labels, dtype=float)
-    n = u.shape[0]
-    d = u.shape[1]
+    shard = ProbitShard(covariates, labels, sigma2)
+    u, v = shard.covariates, shard.labels.astype(float)
+    n, d = shard.size, shard.dim
 
     def value(thetas: np.ndarray, idx=None) -> np.ndarray:
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))

@@ -208,6 +208,15 @@ class TestConfigValidation:
             toy_config(schemes={"wvcmc-oma": {"eta": 1e-3, "t_m": 5, "n_b": 10}})
 
     @pytest.mark.parametrize(
+        "section", [{"rule": "heterogeneous", "zeta": 1.0}, {"zeta": 0.5}, {"rule": "heterogeneous"}]
+    )
+    def test_toy_takes_no_partition(self, section):
+        # the toy has no data set: a partition would be recorded in rows and change nothing
+        with pytest.raises(ConfigError, match="gaussian-toy scenario has no data set to partition"):
+            toy_config(partition=section)
+        assert toy_config(partition={"rule": "equal", "zeta": 0.0}).partition.zeta == 0.0
+
+    @pytest.mark.parametrize(
         "overrides, message",
         [
             ({"n_workers": 2.7}, "n_workers must be an integer, got 2.7"),
@@ -273,7 +282,7 @@ class TestConfigValidation:
     def test_nan_sweep_value_rejected_before_any_point_runs(self, axis, monkeypatch):
         monkeypatch.setattr(runner, "run_experiment", lambda *a, **kw: pytest.fail("a point ran"))
         with pytest.raises(ConfigError, match=f"sweep axis {axis} must be"):
-            sweep(toy_config(), axis, [10.0, float("nan")])
+            sweep(probit_config(), axis, [10.0, float("nan")])  # the toy takes no zeta
 
     def test_minus_inf_snr_sweep_rejected_before_any_point_runs(self, monkeypatch):
         monkeypatch.setattr(runner, "run_experiment", lambda *a, **kw: pytest.fail("a point ran"))
@@ -436,6 +445,15 @@ def probit_config(**overrides):
     }
     doc.update(overrides)
     return parse_config(doc)
+
+
+# a probit-csv config over the 200-row, 2-covariate data.csv in the working directory
+CSV_DOC = {
+    "scenario": "probit-csv",
+    "dim": 2,
+    "csv": {"path": "data.csv"},
+    "reference": {"n_samples": 1000, "burn_in": 10},
+}
 
 
 def count_chains(monkeypatch) -> list:
@@ -896,12 +914,52 @@ class TestCli:
             ({"channel": "identity"}, ["run"], r"unknown keys \['channel'\] in config"),
             ({}, ["sweep", "--axis", "snr", "--values", "0,nan"], "sweep axis snr must be a num"),
             ({}, ["sweep", "--axis", "snr", "--values=-inf"], "snr_db must be above -inf"),
-            ({"output": None}, ["run"], "no output path"),
+            # --out is the one route to the output path
+            ({"output": "o.csv"}, ["run"], r"unknown keys \['output'\] in config"),
+            # data that cannot serve the config
+            ({**CSV_DOC, "csv": {"path": "nope.csv"}}, ["run"], "csv.path nope.csv: No such file"),
+            ({**CSV_DOC, "csv": {"path": "."}}, ["run"], r"csv.path \.: Is a directory"),
+            ({**CSV_DOC, "dim": 5}, ["run"], "has 2 covariates but the config sets dim=5"),
+            (
+                {**CSV_DOC, "schemes": {"gcmc": {}, "sgld": {}}},  # SGLD's default n_b
+                ["run"],
+                "sgld: minibatch size n_b=500 exceeds the 200 training rows",
+            ),
+            (
+                {**CSV_DOC, "csv": {"path": "data.csv", "n_test": 200}},
+                ["run"],
+                "csv.n_test=200 must leave at least one of the 200 rows",
+            ),
+            (
+                {**CSV_DOC, "n_workers": 201, "t_blocks": 201},
+                ["run"],
+                "cannot split 200 points across 201 workers",
+            ),
+            (
+                {**CSV_DOC, "n_workers": 10, "partition": {"rule": "heterogeneous", "zeta": 8.0}},
+                ["run"],
+                r"workers \[.*\] received no data",
+            ),
+            (
+                {"scenario": "probit-synthetic", "data": {"theta_star": [0.5, -0.5]}},
+                ["run"],
+                "data.theta_star has 2 coefficients but the config sets dim=5",
+            ),
+            (
+                {},
+                ["sweep", "--axis", "zeta", "--values", "0.5,2"],
+                "the gaussian-toy scenario has no data set to partition",
+            ),
         ],
     )
-    def test_errors_end_in_one_line(self, tmp_path, capsys, doc, argv, message):
-        # a bad config or an unreadable file is one error line and status 2, no traceback
-        cfg_path = tmp_path / ("missing.json" if doc is None else "toy.json")
+    def test_errors_end_in_one_line(self, tmp_path, capsys, monkeypatch, doc, argv, message):
+        # a bad config or an unreadable file is one error line and status 2,
+        # no traceback, no row and no Gibbs chain
+        monkeypatch.chdir(tmp_path)
+        export_csv(gen_probit_data(200, 2, [0.5, -0.5], np.random.default_rng(4)), "data.csv")
+        no_chain = lambda *a, **kw: pytest.fail("a chain ran")
+        monkeypatch.setattr(runner, "gibbs_probit_sampler", no_chain)
+        cfg_path = tmp_path / ("missing.json" if doc is None else "cfg.json")
         if doc is not None:
             base = {
                 "scenario": "gaussian-toy",
@@ -913,9 +971,8 @@ class TestCli:
                 "schemes": {"gcmc": {}},
             }
             cfg_path.write_text(json.dumps({**base, **doc}))
-        out = [] if doc == {"output": None} else ["--out", str(tmp_path / "o.csv")]
         with pytest.raises(SystemExit) as exc:
-            cli.main(argv + ["--config", str(cfg_path)] + out)
+            cli.main(argv + ["--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("wcmc: error: ") and err.count("\n") == 1

@@ -55,13 +55,18 @@ class TestGaussianGlobalCovariance:
         np.testing.assert_allclose(combined, np.linalg.inv(expected + np.eye(2)), rtol=1e-12)
 
 
+def prior_grad(theta, sigma2):
+    """The prior's gradient -theta / sigma^2: the log-joint gradient of one
+    all-zero row, whose likelihood is flat."""
+    return posteriors.probit_joint_grad_fn(np.zeros((1, len(theta))), [1], sigma2)(theta)
+
+
 def loglik_grad(theta, u, v):
     """Probit log-likelihood gradient of one observation (u, v).
 
     It is the one-row log-joint gradient minus the prior's.
     """
-    joint = posteriors.log_joint_grad(theta, u[None, :], [v], n_total=1, sigma2=1.0)
-    return joint - posteriors.prior_grad(theta, 1.0)
+    return posteriors.probit_joint_grad_fn(u[None, :], [v], 1.0)(theta) - prior_grad(theta, 1.0)
 
 
 class TestProbitGradients:
@@ -101,27 +106,27 @@ class TestProbitGradients:
 
 class TestPriorAndJointGrad:
     def test_prior_values(self):
-        np.testing.assert_allclose(posteriors.prior_grad(np.zeros(3), 2.0), np.zeros(3))
-        np.testing.assert_allclose(
-            posteriors.prior_grad(np.array([1.0, 2.0]), 1.0), [-1.0, -2.0]
-        )
+        np.testing.assert_allclose(prior_grad(np.zeros(3), 2.0), np.zeros(3))
+        np.testing.assert_allclose(prior_grad(np.array([1.0, 2.0]), 1.0), [-1.0, -2.0])
 
     def test_prior_matches_finite_difference(self):
         rng = np.random.default_rng(2)
         theta = rng.standard_normal(4)
         fd = finite_difference(lambda t: -0.5 * np.sum(t**2) / 3.0, theta)
-        np.testing.assert_allclose(posteriors.prior_grad(theta, 3.0), fd, rtol=1e-6)
+        np.testing.assert_allclose(prior_grad(theta, 3.0), fd, rtol=1e-6)
 
     def test_full_batch_is_unscaled(self):
         rng = np.random.default_rng(3)
         u = rng.standard_normal((10, 3))
         v = (rng.uniform(size=10) < 0.5).astype(int)
-        theta = rng.standard_normal(3)
-        full = posteriors.log_joint_grad(theta, u, v, n_total=10, sigma2=1.0)
-        manual = posteriors.prior_grad(theta, 1.0) + sum(
-            posteriors._probit_scores(u[i] @ theta, v[i]) * u[i] for i in range(10)
-        )
-        np.testing.assert_allclose(full, manual, atol=1e-10)
+        thetas = rng.standard_normal((4, 3))
+        grad = posteriors.probit_joint_grad_fn(u, v, 1.0)
+        for theta, row in zip(thetas, grad(thetas)):
+            manual = -theta + sum(
+                posteriors._probit_scores(u[i] @ theta, v[i]) * u[i] for i in range(10)
+            )
+            np.testing.assert_allclose(row, manual, atol=1e-10)
+            np.testing.assert_allclose(grad(theta), manual, atol=1e-10)
 
     def test_joint_grad_matches_finite_difference(self):
         rng = np.random.default_rng(4)
@@ -136,12 +141,36 @@ class TestPriorAndJointGrad:
                 loglik = posteriors.probit_loglik(t, u[batch], v[batch])
                 return -0.5 * np.sum(t**2) / sigma2 + (20 / 5) * loglik
 
-            grad = posteriors.log_joint_grad(theta, u[batch], v[batch], 20, sigma2)
+            log_joint = posteriors.probit_log_joint_fn(u, v, sigma2)
+            grad = posteriors.probit_joint_grad_fn(u, v, sigma2)(theta, batch)
             np.testing.assert_allclose(grad, finite_difference(objective, theta), rtol=1e-4)
+            fd = finite_difference(lambda t: log_joint(t, batch)[0], theta)
+            np.testing.assert_allclose(grad, fd, rtol=1e-4)
 
     def test_empty_minibatch_rejected(self):
-        with pytest.raises(ValueError):
-            posteriors.log_joint_grad(np.zeros(2), np.zeros((0, 2)), [], 10, 1.0)
+        grad = posteriors.probit_joint_grad_fn(np.zeros((10, 2)), np.zeros(10), 1.0)
+        with pytest.raises(ValueError, match="minibatch must be non-empty"):
+            grad(np.zeros(2), np.array([], dtype=int))
+
+    @pytest.mark.parametrize(
+        "factory",
+        [posteriors.probit_joint_grad_fn, posteriors.probit_log_joint_fn],
+        ids=["grad", "log-joint"],
+    )
+    @pytest.mark.parametrize(
+        "covariates, labels, sigma2, message",
+        [
+            (np.ones((3, 2)), [0, 2, 1], 1.0, "labels must be 0 or 1"),
+            (np.ones((3, 2)), [0, 1], 1.0, "labels must be one per covariate row"),
+            (np.ones(3), [0, 1, 1], 1.0, r"covariates must be \(n, d\)"),
+            (np.ones((3, 2)), [0, 1, 1], -1.0, "prior variance must be positive"),
+            (np.ones((3, 2)), [0, 1, 1], 0.0, "prior variance must be positive"),
+        ],
+        ids=["label-2", "label-count", "1-d-covariates", "negative-sigma2", "zero-sigma2"],
+    )
+    def test_data_checked_when_built(self, factory, covariates, labels, sigma2, message):
+        with pytest.raises(ValueError, match=message):
+            factory(covariates, labels, sigma2)
 
     def test_gaussian_toy_gradient(self):
         grad_fn = posteriors.gaussian_joint_grad_fn(np.eye(3))
