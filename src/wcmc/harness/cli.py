@@ -17,7 +17,8 @@ from typing import NoReturn
 from .config import ConfigError, load_config
 from .data import export_csv, gen_probit_data
 from .report import format_summary, load_rows, summarize
-from .runner import SWEEP_AXES, run_experiment, substream, sweep, write_manifest, write_rows
+from .runner import SWEEP_AXES, read_manifest, run_experiment, substream, sweep
+from .runner import write_manifest, write_rows
 
 
 def _add_common(parser: argparse.ArgumentParser, runs: bool = True) -> None:
@@ -103,12 +104,14 @@ def _command(args) -> int:
         config = replace(config, seed=args.seed)
 
     if args.command == "gen-data":
+        config.data.check_dim(config.dim)
         rng = substream(config.seed, 0, "data")
         dataset = gen_probit_data(config.data.n, config.dim, config.data.theta_star, rng)
         export_csv(dataset, out)
         print(f"wrote {dataset.size} rows x {dataset.dim} covariates to {out}")
         return 0
 
+    read_manifest(out)  # a manifest that cannot take this run's record stops it here
     extra = {}
     if args.command == "run":
         rows = run_experiment(config, parallel=args.parallel)

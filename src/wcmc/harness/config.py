@@ -75,7 +75,6 @@ class WvcmcParams:
     eta: float
     t_m: int
     n_b: int | None = None  # None means full batch
-    eta_div_k: bool = False  # scale the step size as eta / K (worker-count sweeps)
 
     def __post_init__(self):
         if self.eta < 0:
@@ -154,6 +153,12 @@ class DataParams:
         theta = tuple(_number(float, x, "data.theta_star") for x in self.theta_star)
         object.__setattr__(self, "theta_star", theta)
 
+    def check_dim(self, dim: int) -> None:
+        """Raise unless ``theta_star`` has one coefficient per covariate."""
+        if len(self.theta_star) != dim:
+            n = len(self.theta_star)
+            raise ConfigError(f"data.theta_star has {n} coefficients but the config sets dim={dim}")
+
 
 @dataclass(frozen=True)
 class CsvParams:
@@ -226,11 +231,8 @@ class ExperimentConfig:
             )
         if self.scenario == "probit-csv" and self.csv is None:
             raise ConfigError("probit-csv runs need a csv section")
-        if self.scenario == "probit-synthetic" and len(self.data.theta_star) != self.dim:
-            raise ConfigError(
-                f"data.theta_star has {len(self.data.theta_star)} coefficients "
-                f"but the config sets dim={self.dim}"
-            )
+        if self.scenario == "probit-synthetic":
+            self.data.check_dim(self.dim)
         if self.scenario == "gaussian-toy":
             if self.partition != PartitionParams():
                 raise ConfigError(
@@ -296,15 +298,20 @@ def parse_config(doc: dict) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
-def load_config(path: str) -> ExperimentConfig:
+def read_json(path: str, what: str):
+    """The parsed JSON file ``what`` at ``path``; a file that cannot be read
+    or is not JSON is a ``ConfigError``."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-    return parse_config(doc)
+
+
+def load_config(path: str) -> ExperimentConfig:
+    return parse_config(read_json(path, "config"))
 
 
 def resolved_dict(config: ExperimentConfig) -> dict:

@@ -28,22 +28,12 @@ def summarize(rows: list[dict]) -> list[dict]:
     out = []
     # CSV cells are strings: sweep points sort by value, not by text
     for key in sorted(groups, key=lambda key: (key[0], *map(float, key[1:]))):
-        bucket = groups[key]
-        err = np.asarray(bucket["err2"])
-        entry = dict(zip(GROUP_COLUMNS, key))
-        entry.update(
-            n=err.size,
-            err2_mean=float(err.mean()),
-            err2_p5=float(np.percentile(err, 5)),
-            err2_p95=float(np.percentile(err, 95)),
-        )
-        if bucket["kl"]:
-            kl = np.asarray(bucket["kl"])
-            entry.update(
-                kl_mean=float(kl.mean()),
-                kl_p5=float(np.percentile(kl, 5)),
-                kl_p95=float(np.percentile(kl, 95)),
-            )
+        entry = dict(zip(GROUP_COLUMNS, key), n=len(groups[key]["err2"]))
+        for metric, values in groups[key].items():
+            if values:  # kl is empty without test rows
+                entry[f"{metric}_mean"] = float(np.mean(values))
+                entry[f"{metric}_p5"] = float(np.percentile(values, 5))
+                entry[f"{metric}_p95"] = float(np.percentile(values, 95))
         out.append(entry)
     return out
 
@@ -52,7 +42,7 @@ def format_summary(summary: list[dict]) -> str:
     if not summary:
         return "no rows"
     has_kl = any("kl_mean" in entry for entry in summary)
-    headers = ["scheme", "snr_db", "t", "k", "zeta", "n", "err2_mean", "err2_p5", "err2_p95"]
+    headers = [*GROUP_COLUMNS, "n", "err2_mean", "err2_p5", "err2_p95"]
     if has_kl:
         headers += ["kl_mean", "kl_p5", "kl_p95"]
     lines = []

@@ -50,7 +50,7 @@ from ..posteriors import (
     probit_joint_grad_fn,
 )
 from ..wvcmc import run_wvcmc
-from .config import SCHEMES, ConfigError, ExperimentConfig, _number, resolved_dict
+from .config import SCHEMES, ConfigError, ExperimentConfig, _number, read_json, resolved_dict
 from .data import LabeledDataset, gen_gaussian_scenario, gen_probit_data, ingest_csv, partition
 
 RESULT_COLUMNS = (
@@ -218,7 +218,10 @@ def _load_data(config: ExperimentConfig, rng: Generator):
         dataset = gen_probit_data(config.data.n, config.dim, config.data.theta_star, rng)
         n_test = config.data.n_test
         return dataset, rng.standard_normal((n_test, config.dim)) if n_test > 0 else None
-    full = ingest_csv(config.csv.path, config.csv.label_column, config.csv.pca_dim)
+    try:
+        full = ingest_csv(config.csv.path, config.csv.label_column, config.csv.pca_dim)
+    except ValueError as exc:  # content that cannot serve a run
+        raise ConfigError(str(exc)) from None
     if config.csv.n_test > 0:
         if config.csv.n_test >= full.size:
             raise ConfigError(
@@ -324,7 +327,7 @@ class Link:
             [e.matrix() for e in self.encs[mode]],
             k,
             self.world.joint_grad,
-            params.eta / k if params.eta_div_k else params.eta,
+            params.eta,
             params.t_m,
             substream(cfg.seed, self.trial, f"wvcmc-{mode}"),
             n_data=n_data,
@@ -454,6 +457,17 @@ def _git_revision() -> str | None:
     return done.stdout.strip() if done.returncode == 0 else None
 
 
+def read_manifest(out_path: str) -> list:
+    """The run records next to the result CSV ([] without a manifest); a manifest that
+    is neither a JSON list nor an older single-record object is a ``ConfigError``."""
+    path = manifest_path(out_path)
+    runs = read_json(path, "manifest") if os.path.exists(path) else []
+    runs = [runs] if isinstance(runs, dict) else runs
+    if not isinstance(runs, list):
+        raise ConfigError(f"manifest {path} is not a JSON list of runs (got {type(runs).__name__})")
+    return runs
+
+
 def write_manifest(out_path: str, config: ExperimentConfig, extra: dict | None = None) -> None:
     """Append one run's record (library, numpy and scipy versions, git
     revision, master seed, resolved config and ``extra``) to the JSON list
@@ -463,12 +477,7 @@ def write_manifest(out_path: str, config: ExperimentConfig, extra: dict | None =
     run in the same order as the runs' rows.
     """
     path = manifest_path(out_path)
-    runs = []
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            runs = json.load(fh)
-        if isinstance(runs, dict):  # a single-run manifest from an older version
-            runs = [runs]
+    runs = read_manifest(out_path)
     record = {
         "version": __version__,
         "numpy": np.__version__,

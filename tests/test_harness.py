@@ -198,6 +198,9 @@ class TestConfigValidation:
     def test_unknown_scheme_key(self):
         with pytest.raises(ConfigError, match="schemes.wvcmc-oma"):
             toy_config(schemes={"wvcmc-oma": {"eta": 1e-3, "t_m": 5, "lr": 0.1}})
+        # wvcmc's step size is eta as configured; no knob divides it by K
+        with pytest.raises(ConfigError, match=r"unknown keys \['eta_div_k'\] in schemes.wvcmc-noma"):
+            toy_config(schemes={"wvcmc-noma": {"eta": 1e-2, "t_m": 5, "eta_div_k": True}})
 
     def test_oma_needs_enough_blocks(self):
         with pytest.raises(ConfigError, match="t_blocks"):
@@ -764,12 +767,8 @@ class TestEndToEndScenarios:
         assert sizes.count(1000) == 1
         assert len(sizes) == 1 + len(rows)
 
-    def test_worker_count_sweep_with_scaled_step(self):
-        cfg = toy_config(
-            trials=1,
-            t_blocks=60,
-            schemes={"wvcmc-noma": {"eta": 1e-2, "t_m": 5, "eta_div_k": True}},
-        )
+    def test_worker_count_sweep(self):
+        cfg = toy_config(trials=1, t_blocks=60, schemes={"wvcmc-noma": {"eta": 1e-2, "t_m": 5}})
         rows = sweep(cfg, "k", [2, 6])
         assert [r["k"] for r in rows] == [2, 6]
         assert all(np.isfinite(r["err2"]) for r in rows)
@@ -950,13 +949,26 @@ class TestCli:
                 ["sweep", "--axis", "zeta", "--values", "0.5,2"],
                 "the gaussian-toy scenario has no data set to partition",
             ),
+            # CSV content that cannot serve a run
+            (
+                {**CSV_DOC, "csv": {"path": "label3.csv"}},
+                ["run"],
+                "label3.csv line 2: label must be 0 or 1, got 3.0",
+            ),
+            ({**CSV_DOC, "csv": {"path": "fields.csv"}}, ["run"], "line 3: expected 3 fields, got 2"),
+            ({**CSV_DOC, "csv": {"path": "header.csv"}}, ["run"], "header.csv: no data rows"),
+            # gen-data writes no file for a theta_star that does not fit dim
+            ({"dim": 3}, ["gen-data"], "data.theta_star has 5 coefficients but the config sets dim=3"),
         ],
     )
     def test_errors_end_in_one_line(self, tmp_path, capsys, monkeypatch, doc, argv, message):
         # a bad config or an unreadable file is one error line and status 2,
-        # no traceback, no row and no Gibbs chain
+        # no traceback, no row, no data file and no Gibbs chain
         monkeypatch.chdir(tmp_path)
         export_csv(gen_probit_data(200, 2, [0.5, -0.5], np.random.default_rng(4)), "data.csv")
+        (tmp_path / "label3.csv").write_text("x0,x1,label\n0.1,0.2,3\n")
+        (tmp_path / "fields.csv").write_text("x0,x1,label\n0.1,0.2,1\n0.3,0\n")
+        (tmp_path / "header.csv").write_text("x0,x1,label\n")
         no_chain = lambda *a, **kw: pytest.fail("a chain ran")
         monkeypatch.setattr(runner, "gibbs_probit_sampler", no_chain)
         cfg_path = tmp_path / ("missing.json" if doc is None else "cfg.json")
@@ -978,6 +990,41 @@ class TestCli:
         assert err.startswith("wcmc: error: ") and err.count("\n") == 1
         assert re.search(message, err)
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "manifest, message",
+        [
+            ("{broken", "invalid JSON"),
+            ("3", "is not a JSON list of runs (got int)"),
+            ('"runs"', "is not a JSON list of runs (got str)"),
+        ],
+    )
+    @pytest.mark.parametrize("argv", [["run"], ["sweep", "--axis", "snr", "--values", "0,10"]])
+    def test_corrupt_manifest_stops_the_run(self, tmp_path, capsys, argv, manifest, message):
+        # checked before the first trial: no row is appended and the manifest is left as it was
+        cfg_path, out_path = tmp_path / "toy.json", tmp_path / "rows.csv"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "scenario": "gaussian-toy",
+                    "n_workers": 3,
+                    "t_blocks": 30,
+                    "snr_db": 10.0,
+                    "trials": 1,
+                    "seed": 5,
+                    "schemes": {"gcmc": {}},
+                }
+            )
+        )
+        (tmp_path / "rows.manifest.json").write_text(manifest)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--config", str(cfg_path), "--out", str(out_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("wcmc: error: ") and err.count("\n") == 1
+        assert "rows.manifest.json" in err and message in err
+        assert not out_path.exists()
+        assert (tmp_path / "rows.manifest.json").read_text() == manifest
 
     def test_unreadable_result_file_is_one_line(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

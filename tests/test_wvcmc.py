@@ -6,6 +6,7 @@ import pytest
 from wcmc import aggregators, channel, posteriors, wvcmc
 from wcmc.aggregators import apply_weights
 from wcmc.harness import config, runner
+from wcmc.matops import EIG_RTOL
 
 
 def random_pd(rng, d, floor=0.3):
@@ -256,6 +257,68 @@ class TestSharedBound:
         assert result.weights.shape == (1, d, 2 * d)
         assert not np.array_equal(result.weights, init)
         np.testing.assert_array_equal(result.samples, apply_weights(result.weights, ys))
+
+
+def loop_grad(w, ys, e, k, joint_grad, idx=None):
+    """The gradient written as one solve and one pinv per receiver."""
+    s, r = ys.shape[0], w.shape[0]
+    g = joint_grad(apply_weights(w, ys), idx)
+    out = np.empty_like(w)
+    for j in range(r):
+        data = -(g.T @ ys[:, j, :]) / s
+        ent = np.linalg.solve((w[j] @ e[j]).T, (k / r) * e[j].T)
+        ent = ent + np.linalg.pinv(w[j], rcond=EIG_RTOL).T
+        out[j] = data - ent / (k + r)
+    return out
+
+
+def loop_entropy_lb(w, e, n0, k, ents):
+    """The entropy bound written as two slogdet calls per receiver."""
+    r, d, _ = w.shape
+    n = k + r
+    acc = float(np.sum(ents))
+    for j in range(r):
+        for mat, factor in ((w[j] @ e[j], k / r), (w[j] @ w[j].T, 0.5)):
+            sign, logdet = np.linalg.slogdet(mat)
+            if sign == 0 or not np.isfinite(logdet):
+                raise np.linalg.LinAlgError(f"receiver {j} is singular")
+            acc += factor * logdet
+    return 0.5 * d * (np.log(n) + (r / n) * np.log(2.0 * np.pi * np.e * n0)) + acc / n
+
+
+class TestStackedMatchesLoop:
+    """The stacked bound and gradient against the per-receiver loop they replaced."""
+
+    @pytest.mark.parametrize("receivers, reps", [(4, 1), (4, 2), (1, 1), (1, 2)])
+    def test_same_numbers(self, receivers, reps):
+        rng = np.random.default_rng(40 + 10 * receivers + reps)
+        k, d, n0 = 4, 3, 0.3
+        u = rng.standard_normal((30, d))
+        v = (rng.uniform(size=30) < 0.5).astype(int)
+        grad_fn = posteriors.probit_joint_grad_fn(u, v, 1.5)
+        for _ in range(20):
+            w, e, ys, _ = receiver_config(rng, k, receivers, d, reps)
+            ents = rng.uniform(0.5, 2.0, size=k)
+            idx = rng.choice(30, size=10, replace=False)
+            for i in (None, idx):
+                expected = loop_grad(w, ys, np.stack(e), k, grad_fn, i)
+                assert np.array_equal(wvcmc.grad(w, ys, e, k, grad_fn, i), expected)
+            expected = loop_entropy_lb(w, np.stack(e), n0, k, ents)
+            assert wvcmc.entropy_lb(w, e, n0, k, ents) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("j", [0, 2])
+    def test_one_singular_receiver_raises(self, j):
+        rng = np.random.default_rng(50)
+        k, d = 3, 2
+        w, e, ys, _ = receiver_config(rng, k, k, d)
+        w[j] = 0.0
+        grad_fn = posteriors.gaussian_joint_grad_fn(np.eye(d))
+        with pytest.raises(np.linalg.LinAlgError):
+            loop_entropy_lb(w, np.stack(e), 0.3, k, np.zeros(k))
+        with pytest.raises(np.linalg.LinAlgError):
+            wvcmc.entropy_lb(w, e, 0.3, k, np.zeros(k))
+        with pytest.raises(np.linalg.LinAlgError):
+            wvcmc.grad(w, ys, e, k, grad_fn)
 
 
 class TestRunWvcmc:
