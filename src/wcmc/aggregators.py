@@ -30,16 +30,21 @@ RIDGE_RTOL = 1e-8
 
 def apply_weights(weights: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Aggregate received blocks into global samples, one per block:
-    theta[s] = sum_r W_r y[s, r] for (R, d, m_r) weights and (S, R, m_r) blocks."""
+    theta[s] = sum_r W_r y[s, r] for (R, d, m_r) weights and (S, R, m_r) blocks.
+
+    The sum over receivers is one matmul: the (S, R m_r) flattened blocks
+    times the (R m_r, d) stack of the W_r^T.
+    """
     w = np.asarray(weights, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if w.ndim != 3:
         raise ValueError(f"weights must be an (R, d, m_r) stack, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite")
-    if ys.ndim != 3 or ys.shape[1:] != (w.shape[0], w.shape[2]):
-        raise ValueError(f"expected (S, R={w.shape[0]}, m_r={w.shape[2]}) blocks, got {ys.shape}")
-    return np.einsum("rdm,srm->sd", w, ys)
+    r, d, m_r = w.shape
+    if ys.ndim != 3 or ys.shape[1:] != (r, m_r):
+        raise ValueError(f"expected (S, R={r}, m_r={m_r}) blocks, got {ys.shape}")
+    return ys.reshape(ys.shape[0], r * m_r) @ np.swapaxes(w, 1, 2).reshape(r * m_r, d)
 
 
 def empirical_covariance(x: np.ndarray) -> np.ndarray:

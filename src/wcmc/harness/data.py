@@ -156,7 +156,8 @@ def ingest_csv(
     """Load a numeric CSV with a binary label column.
 
     Covariates are standardized per column (zero-variance columns are only
-    centered); an optional PCA projection reduces them to ``pca_dim``.
+    centered); an optional PCA projection reduces them to ``pca_dim``, the
+    config's ``csv.pca_dim``, which may not exceed the covariate count.
     Malformed rows and non-finite cells raise with their file line number.
     """
     with open(path, newline="", encoding="utf-8") as fh:
@@ -193,6 +194,8 @@ def ingest_csv(
     x = np.asarray(rows, dtype=float)
     std = x.std(axis=0, ddof=0)
     x = (x - x.mean(axis=0)) / np.where(std > 0, std, 1.0)
+    if pca_dim is not None and pca_dim > x.shape[1]:
+        raise ValueError(f"csv.pca_dim={pca_dim} exceeds the {x.shape[1]} covariate columns of {path}")
     if pca_dim is not None and pca_dim != x.shape[1]:
         x, _ = pca_project(x, pca_dim)
     return LabeledDataset(x, np.asarray(labels))

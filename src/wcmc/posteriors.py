@@ -19,11 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri
+from scipy.special import erfcx, log_ndtr, ndtr, ndtri
 
 from .matops import EIG_RTOL, _require_symmetric, psd_factor, sample_mvn, symmetrize
 
 _LOG_2PI = np.log(2.0 * np.pi)
+_SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
+_SQRT_HALF = np.sqrt(0.5)
 
 # Distance from the truncation boundary beyond which inverse-CDF sampling
 # loses precision and the exponential rejection sampler takes over.
@@ -107,14 +109,17 @@ class ProbitShard:
 
 
 def _probit_scores(margins: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """d/dt log p(v | t) for probit margins t, computed via exp(log phi - log Phi).
+    """d/dt log p(v | t) for probit margins t: s phi(s t) / Phi(s t), s = 2v - 1.
 
-    The signed form phi(s t) / Phi(s t) with s = 2v - 1 stays finite in both
-    tails where the textbook ratio overflows.
+    With Phi(x) = erfc(-x / sqrt 2) / 2 the Gaussian factors cancel, leaving
+    s sqrt(2 / pi) / erfcx(-s t / sqrt 2).  The scaled complementary error
+    function stays finite deep in the lower tail, where the textbook ratio
+    overflows, and tends to infinity in the upper one, where the score
+    underflows to 0.
     """
     signs = 2.0 * np.asarray(labels, dtype=float) - 1.0
     st = signs * np.asarray(margins, dtype=float)
-    return signs * np.exp(-0.5 * st * st - 0.5 * _LOG_2PI - log_ndtr(st))
+    return signs * _SQRT_2_OVER_PI / erfcx(-_SQRT_HALF * st)
 
 
 def probit_loglik(theta: np.ndarray, u: np.ndarray, v) -> float:
@@ -198,18 +203,29 @@ def gaussian_log_joint_fn(cov: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
+def _inverse_cdf_above(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Inverse-CDF draws of Z ~ N(0,1) conditioned on Z > a, one uniform each."""
+    p_below = ndtr(a)
+    u = rng.uniform(size=a.shape)
+    return ndtri(p_below + u * (1.0 - p_below))
+
+
 def _truncated_std_normal_above(alpha: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draw Z ~ N(0,1) conditioned on Z > alpha, elementwise; a NaN or +inf
-    alpha raises ``ValueError`` before the tail branch draws anything."""
+    alpha raises ``ValueError`` before the tail branch draws anything.
+
+    When no boundary lies past ``_TAIL_CUTOFF`` (the usual case) the whole
+    vector is drawn by inverse CDF at once; the masked split below draws the
+    same numbers from the same stream.  A NaN maximum fails the test too.
+    """
     alpha = np.asarray(alpha, dtype=float)
+    if alpha.size and alpha.max() <= _TAIL_CUTOFF:
+        return _inverse_cdf_above(alpha, rng)
     out = np.empty_like(alpha)
 
     easy = alpha <= _TAIL_CUTOFF
     if easy.any():
-        a = alpha[easy]
-        p_below = ndtr(a)
-        u = rng.uniform(size=a.shape)
-        out[easy] = ndtri(p_below + u * (1.0 - p_below))
+        out[easy] = _inverse_cdf_above(alpha[easy], rng)
 
     hard = ~easy
     if hard.any():

@@ -19,6 +19,9 @@ entropies H[p_k] enter that mean as weight-independent constants.
 The bound and its gradient are written once over the receiver stacks:
 numpy's batched linalg runs the same LAPACK routine on each receiver's
 matrix as one call per receiver would, with no Python loop over receivers.
+Each SGD step takes one thin SVD of its W_r stack: it serves both the
+check that the step keeps every W_r clear of singularity and the next
+gradient's pseudo-inverses.
 """
 
 from __future__ import annotations
@@ -76,12 +79,27 @@ def free_energy(
     return data_term - entropy_lb(weights, encodings, n0, n_workers, subposterior_entropies)
 
 
-def grad(weights, ys, encodings, n_workers, joint_grad, idx=None) -> np.ndarray:
+def _pinv_t(w_svd) -> np.ndarray:
+    """The stack of (W_r^+)^T from the thin SVD (U, s, V^T) of the W_r stack.
+
+    Forms W^+ = V diag(1/s) U^T as ``np.linalg.pinv`` does, with the same
+    ``EIG_RTOL`` cutoff and the same operation order, so the result is
+    bit-identical to that of ``pinv`` on the same stack.
+    """
+    u, s, vt = w_svd
+    large = s > EIG_RTOL * np.amax(s, axis=-1, keepdims=True)
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=large)
+    return np.swapaxes(np.swapaxes(vt, 1, 2) @ (inv[..., None] * np.swapaxes(u, 1, 2)), 1, 2)
+
+
+def grad(weights, ys, encodings, n_workers, joint_grad, idx=None, w_svd=None) -> np.ndarray:
     """Stochastic free-energy gradient with respect to each weight W_r.
 
     The data term is -(1/S) sum_s g(theta_s) y_{r,s}^T with g the log-joint
     gradient at theta_s = sum_r W_r y_{r,s}; the entropy-bound term is
     -(1/n) [(K/R) (W_r E_r)^{-T} E_r^T + (W_r^+)^T] with n = K + R.
+    ``w_svd`` is the thin SVD of the weight stack when the caller already
+    holds it; without it the SVD is taken here.
     """
     w = np.asarray(weights, dtype=float)
     e = _stack_encodings(encodings)
@@ -90,7 +108,7 @@ def grad(weights, ys, encodings, n_workers, joint_grad, idx=None) -> np.ndarray:
     g = np.asarray(joint_grad(apply_weights(w, ys), idx), dtype=float)
     data = -(g.T @ np.moveaxis(ys, 1, 0)) / s
     ent = np.linalg.solve(np.swapaxes(w @ e, 1, 2), (n_workers / r) * np.swapaxes(e, 1, 2))
-    ent += np.swapaxes(np.linalg.pinv(w, rcond=EIG_RTOL), 1, 2)
+    ent += _pinv_t(np.linalg.svd(w, full_matrices=False) if w_svd is None else w_svd)
     return data - ent / (n_workers + r)
 
 
@@ -131,16 +149,22 @@ def grad_noma(weight, ys, encoding, n_workers, joint_grad, idx=None) -> np.ndarr
     )[0]
 
 
-def _well_conditioned(w: np.ndarray, e: np.ndarray) -> bool:
-    """Whether every W_r E_r and W_r of an (R, d, m_r) weight stack and an
-    (R, m_r, d) encoder stack is finite and clear of singularity."""
-    for mats in (w @ e, w):
-        if not np.all(np.isfinite(mats)):
-            return False
-        sv = np.linalg.svd(mats, compute_uv=False)
-        if np.any(sv[:, -1] <= _SINGULAR_RTOL * sv[:, 0]):
-            return False
-    return True
+def _clear(sv: np.ndarray) -> bool:
+    """Whether every row of singular values (largest first) is clear of singularity."""
+    return not np.any(sv[:, -1] <= _SINGULAR_RTOL * sv[:, 0])
+
+
+def _checked_svd(w: np.ndarray, e: np.ndarray):
+    """The thin SVD of an (R, d, m_r) weight stack, or None unless every
+    W_r E_r (with the (R, m_r, d) encoder stack) and every W_r is finite and
+    clear of singularity."""
+    we = w @ e
+    if not (np.all(np.isfinite(we)) and np.all(np.isfinite(w))):
+        return None
+    if not _clear(np.linalg.svd(we, compute_uv=False)):
+        return None
+    w_svd = np.linalg.svd(w, full_matrices=False)
+    return w_svd if _clear(w_svd[1]) else None
 
 
 @dataclass
@@ -169,6 +193,7 @@ def run_wvcmc(
     singular weight configuration, where the log-det barrier is infinite.
     When every halving is rejected the run raises ``RuntimeError``.  The
     bound's value is never evaluated: only its gradient moves the weights.
+    The thin SVD that clears an accepted step feeds the next gradient.
     Returns the final weights and their aggregation of all S blocks.
     """
     enc = _stack_encodings(encodings)
@@ -176,15 +201,17 @@ def run_wvcmc(
         raise ValueError("minibatch_size must lie in [1, n_data]")
 
     weights = np.asarray(init, dtype=float)
+    w_svd = None
     for t in range(n_iterations):
         idx = None
         if minibatch_size is not None and minibatch_size < n_data:
             idx = rng.choice(n_data, size=minibatch_size, replace=False)
-        direction = grad(weights, ys, enc, n_workers, joint_grad, idx)
+        direction = grad(weights, ys, enc, n_workers, joint_grad, idx, w_svd)
         step = step_size
         for _ in range(_MAX_HALVINGS + 1):
             candidate = weights - step * direction
-            if _well_conditioned(candidate, enc):
+            w_svd = _checked_svd(candidate, enc)
+            if w_svd is not None:
                 weights = candidate
                 break
             step *= 0.5

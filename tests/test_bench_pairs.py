@@ -1,0 +1,109 @@
+"""The paired-benchmark script, driven by a stub benchmark command in two fake checkouts."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+SPEC = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+)
+bench_pairs = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(bench_pairs)
+
+# Logs its checkout, workload, seed and trace flag, then prints a result line
+# whose trial_s is the seed's last digit plus 10 on the parent and plus 5 on
+# the change, except that the change loses pair 3.
+STUB = """\
+import json, sys
+from pathlib import Path
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+side = Path.cwd().name
+with open(Path.cwd().parent / "calls.log", "a") as fh:
+    fh.write(f"{side} {args['--workload']} {args['--seed']} {args['--trace']}\\n")
+seed = int(args["--seed"])
+trial = seed % 10 + (10.0 if side == "parent" else 5.0) + (20.0 if side == "change" and seed % 10 == 3 else 0.0)
+metrics = {
+    "trial_s": {"value": trial, "unit": "s"},
+    "setup_s": {"value": 0.3, "unit": "s"},
+    "peak_rss_mb": {"value": 60.0 if side == "parent" else 50.0, "unit": "MB"},
+}
+if args["--trace"] == "1":
+    metrics = {"wvcmc.run_s": {"value": 2.0, "unit": "s"}, "wvcmc.grad_s": {"value": 0.0, "unit": "s"}}
+print("a line the script must skip")
+print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}))
+"""
+
+
+@pytest.fixture
+def checkouts(tmp_path):
+    out = {}
+    for side in bench_pairs.SIDES:
+        root = tmp_path / side
+        root.mkdir()
+        (root / "stub.py").write_text(STUB)
+        bench = {"command": ["python3", "stub.py"], "run_seconds": 2, "workloads": [{"name": "toy-snr"}]}
+        (root / "BENCHMARK.json").write_text(json.dumps(bench))
+        out[side] = root
+    return out
+
+
+def test_pairs_alternate_and_interleave(checkouts, tmp_path):
+    runs = bench_pairs.run_pairs(checkouts, ["toy-snr", "probit-sweep"], 3, 100, 1.0)
+    calls = (tmp_path / "calls.log").read_text().splitlines()
+    assert calls == [
+        "parent toy-snr 100 0", "change toy-snr 100 0", "parent probit-sweep 100 0", "change probit-sweep 100 0",
+        "change toy-snr 101 0", "parent toy-snr 101 0", "change probit-sweep 101 0", "parent probit-sweep 101 0",
+        "parent toy-snr 102 0", "change toy-snr 102 0", "parent probit-sweep 102 0", "change probit-sweep 102 0",
+    ]
+    assert [f"{r['side']} {r['workload']} {r['seed']} 0" for r in runs] == calls
+
+
+def test_summary_medians_quartiles_and_wins(checkouts):
+    runs = bench_pairs.run_pairs(checkouts, ["toy-snr"], 5, 0, 1.0)
+    entry = bench_pairs.summarize(runs, ["toy-snr"])["toy-snr"]
+    trial = entry["trial_s"]
+    assert trial["parent"] == {"median": 12.0, "q1": 11.0, "q3": 13.0, "runs": [10.0, 11.0, 12.0, 13.0, 14.0]}
+    assert trial["change"]["runs"] == [5.0, 6.0, 7.0, 28.0, 9.0]
+    assert trial["change"]["median"] == 7.0
+    assert trial["change_better_in_pairs"] == 4  # pair 3 goes to the parent
+    assert trial["parent_median_over_change_median"] == round(12.0 / 7.0, 3)
+    assert entry["setup_s"]["change_better_in_pairs"] == 0  # a tie is no win
+    assert entry["peak_rss_mb"]["parent_median_over_change_median"] == 1.2
+    assert entry["correct"] and entry["failed_operations"] == 0 and entry["pairs"] == 5
+    assert entry["attempted_operations"] == {"parent": 15, "change": 15}
+
+
+def test_main_writes_the_record(checkouts, tmp_path):
+    out = tmp_path / "BENCH_X.json"
+    # the workloads and the run length come from the change's BENCHMARK.json
+    argv = ["--parent", str(checkouts["parent"]), "--change", str(checkouts["change"]),
+            "--pairs", "2", "--seed-base", "7", "--trace-seed", "1", "--label", "stub", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    record = json.loads(out.read_text())
+    assert record["change"] == "stub"
+    assert record["command"] == "python3 stub.py --workload W --seed S --seconds 2 --trace 0"
+    assert set(record["workloads"]["toy-snr"]) == {
+        "correct", "failed_operations", "attempted_operations", "trial_s", "setup_s", "peak_rss_mb", "pairs",
+    }
+    # zero per-layer metrics are left out of the traced rounds
+    assert record["traced_round_seed_1"]["command"] == "python3 stub.py --workload W --seed 1 --seconds 2 --trace 1"
+    assert record["traced_round_seed_1"]["toy-snr"] == {"parent": {"wvcmc.run_s": 2.0}, "change": {"wvcmc.run_s": 2.0}}
+    assert (tmp_path / "calls.log").read_text().splitlines()[-2:] == ["parent toy-snr 1 1", "change toy-snr 1 1"]
+
+
+def test_command_names_each_side_when_they_differ(checkouts):
+    bench = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())
+    (checkouts["parent"] / "BENCHMARK.json").write_text(json.dumps({**bench, "command": ["python", "stub.py"]}))
+    assert bench_pairs.command_line(checkouts, "S", 2, 0) == (
+        "parent: python stub.py --workload W --seed S --seconds 2 --trace 0; "
+        "change: python3 stub.py --workload W --seed S --seconds 2 --trace 0"
+    )
+
+
+def test_failed_run_stops_with_its_stderr(checkouts):
+    (checkouts["change"] / "stub.py").write_text("import sys\nsys.exit('benchmark broke')\n")
+    with pytest.raises(RuntimeError, match="benchmark broke"):
+        bench_pairs.run_pairs(checkouts, ["toy-snr"], 2, 0, 1.0)

@@ -959,6 +959,12 @@ class TestCli:
             ({**CSV_DOC, "csv": {"path": "header.csv"}}, ["run"], "header.csv: no data rows"),
             # gen-data writes no file for a theta_star that does not fit dim
             ({"dim": 3}, ["gen-data"], "data.theta_star has 5 coefficients but the config sets dim=3"),
+            # a PCA dimension the CSV cannot give
+            (
+                {**CSV_DOC, "csv": {"path": "data.csv", "pca_dim": 5}},
+                ["run"],
+                "csv.pca_dim=5 exceeds the 2 covariate columns of data.csv",
+            ),
         ],
     )
     def test_errors_end_in_one_line(self, tmp_path, capsys, monkeypatch, doc, argv, message):

@@ -103,6 +103,16 @@ class TestProbitGradients:
         g = loglik_grad(np.array([-30.0]), u, 1)
         assert g[0] == pytest.approx(30.0, rel=0.01)
 
+    def test_matches_the_log_ratio_form(self):
+        # s phi(s t) / Phi(s t) written as exp(log phi - log Phi) with scipy's log_ndtr
+        margins = np.linspace(-35.0, 35.0, 7001)
+        for label in (0, 1):
+            s = 2.0 * label - 1.0
+            log_ratio = -0.5 * margins**2 - 0.5 * np.log(2 * np.pi) - log_ndtr(s * margins)
+            expected = s * np.exp(log_ratio)
+            scores = posteriors._probit_scores(margins, np.full(margins.shape, label))
+            np.testing.assert_allclose(scores, expected, rtol=1e-12, atol=0)
+
 
 class TestPriorAndJointGrad:
     def test_prior_values(self):
@@ -222,6 +232,20 @@ class TestTruncatedNormal:
             posteriors._truncated_std_normal_above(np.array([5.0, bad]), rng)
         fresh = np.random.default_rng(10)
         assert rng.uniform() == fresh.uniform()
+
+    def test_all_below_cutoff_draws_match_the_masked_split(self):
+        # Appending one tail point forces the masked split; its inverse-CDF
+        # draws come first in the stream, so they must equal the whole-vector
+        # draws of the same points on the same seed.
+        alpha = np.random.default_rng(11).uniform(-4.0, posteriors._TAIL_CUTOFF, size=(3, 200))
+        alpha[1, 7] = posteriors._TAIL_CUTOFF
+        whole = posteriors._truncated_std_normal_above(alpha, np.random.default_rng(12))
+        mixed = posteriors._truncated_std_normal_above(
+            np.append(alpha.ravel(), 6.0), np.random.default_rng(12)
+        )
+        assert whole.shape == alpha.shape
+        assert np.array_equal(mixed[:-1], whole.ravel())
+        assert mixed[-1] > 6.0 and (whole > alpha).all()
 
     # 3.9 takes the inverse-CDF branch, 4.1 the rejection branch past _TAIL_CUTOFF
     @pytest.mark.parametrize("alpha, seed", [(-2.0, 31), (0.0, 32), (3.9, 33), (4.1, 34)])

@@ -404,6 +404,38 @@ class TestRunWvcmc:
                 rng=np.random.default_rng(0),
             )
 
+    def test_shared_factors_change_no_bit_of_the_trajectory(self, monkeypatch):
+        # the run against one whose every gradient takes its own SVD
+        rng = np.random.default_rng(7)
+        covs, encs, n0, ys, global_cov = self._setup(rng)
+        run = lambda: wvcmc.run_wvcmc(
+            ys,
+            np.stack([np.eye(2) / 3] * 3),
+            [e.matrix() for e in encs],
+            3,
+            posteriors.gaussian_joint_grad_fn(global_cov),
+            step_size=1e-3,
+            n_iterations=20,
+            rng=np.random.default_rng(1),
+        )
+        shared = run()
+        own_svd = wvcmc.grad
+        monkeypatch.setattr(
+            wvcmc, "grad", lambda w, ys, e, k, jg, idx=None, w_svd=None: own_svd(w, ys, e, k, jg, idx)
+        )
+        np.testing.assert_array_equal(shared.weights, run().weights)
+
+    def test_singular_candidate_is_retried_at_half_length(self):
+        # K = R = d = 1, W = E = y = 1 and a constant log-joint gradient of -3:
+        # the step direction is 3 - (1 + 1) / 2 = 2, so the full step of 0.5
+        # lands on W = 0 and the halved step on W = 0.5.
+        const_grad = lambda thetas, idx=None: np.full_like(thetas, -3.0)
+        result = wvcmc.run_wvcmc(
+            np.ones((1, 1, 1)), np.ones((1, 1, 1)), [np.ones((1, 1))], 1, const_grad,
+            step_size=0.5, n_iterations=1, rng=np.random.default_rng(0),
+        )
+        np.testing.assert_array_equal(result.weights, [[[0.5]]])
+
     def test_stationarity_with_entropy_term_disabled(self):
         # Without the log-det barrier the Gaussian-toy objective is a smooth
         # quadratic, so full-batch descent reaches a first-order stationary
@@ -432,7 +464,7 @@ class TestStepCheck:
 
     def test_regular_stack_accepted(self):
         w, e = self._stacks(4)
-        assert wvcmc._well_conditioned(w, e)
+        assert wvcmc._checked_svd(w, e) is not None
 
     @pytest.mark.parametrize("j", [0, 2, 3])
     def test_one_singular_product_rejected(self, j):
@@ -441,7 +473,7 @@ class TestStepCheck:
         u = e[j][:, 0]
         w[j] -= np.outer(w[j] @ u, u) / (u @ u)
         assert np.linalg.matrix_rank(w[j]) == w.shape[1]
-        assert not wvcmc._well_conditioned(w, e)
+        assert wvcmc._checked_svd(w, e) is None
 
     @pytest.mark.parametrize("j", [0, 2, 3])
     def test_one_singular_weight_rejected(self, j):
@@ -451,19 +483,31 @@ class TestStepCheck:
         outside = np.linalg.svd(e[j])[0][:, -1]
         w[j] += 1e13 * np.outer(np.ones(w.shape[1]), outside)
         assert np.linalg.cond(w[j] @ e[j]) < 1e6
-        assert not wvcmc._well_conditioned(w, e)
+        assert wvcmc._checked_svd(w, e) is None
 
     def test_non_finite_member_rejected(self):
         w, e = self._stacks(4)
         w[1, 0, 0] = np.inf
         with np.errstate(invalid="ignore"):
-            assert not wvcmc._well_conditioned(w, e)
+            assert wvcmc._checked_svd(w, e) is None
+
+    @pytest.mark.parametrize("k, reps", [(4, 2), (1, 1)])
+    def test_factors_feed_the_gradient_bit_identically(self, k, reps):
+        # the SVD that clears a step gives the same gradient as the one grad takes itself
+        w, e = self._stacks(k, reps=reps)
+        ys = np.random.default_rng(12).standard_normal((6, k, w.shape[2]))
+        grad_fn = posteriors.gaussian_joint_grad_fn(np.eye(w.shape[1]))
+        factors = wvcmc._checked_svd(w, e)
+        expected = wvcmc.grad(w, ys, e, 4, grad_fn)
+        assert np.array_equal(wvcmc.grad(w, ys, e, 4, grad_fn, w_svd=factors), expected)
+        pinv_t = np.swapaxes(np.linalg.pinv(w, rcond=EIG_RTOL), 1, 2)
+        assert np.array_equal(wvcmc._pinv_t(factors), pinv_t)
 
     def test_noma_stack_of_one(self):
         w, e = self._stacks(1)
-        assert wvcmc._well_conditioned(w, e)
+        assert wvcmc._checked_svd(w, e) is not None
         w[0, -1] = 2 * w[0, 0]
-        assert not wvcmc._well_conditioned(w, e)
+        assert wvcmc._checked_svd(w, e) is None
 
 
 def start_link(**overrides):
