@@ -24,7 +24,10 @@ class SgldSchedule:
         if not 0.5 < self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in (0.5, 1], got {self.gamma}")
         if not 0 <= self.burn_in < self.n_iterations:
-            raise ValueError("burn_in must be smaller than n_iterations")
+            raise ValueError(
+                f"burn_in must lie in [0, {self.n_iterations}), the number of iterations, "
+                f"got {self.burn_in}"
+            )
 
     def step_size(self, t: int) -> float:
         return self.alpha * (self.beta + t) ** (-self.gamma)

@@ -96,6 +96,8 @@ def _command(args) -> int:
             rows = load_rows(args.out)
         except OSError as exc:
             _fail(f"cannot read results {args.out}: {exc.strerror or exc}")
+        except ValueError as exc:  # not a result file, or a cell that is not a number
+            _fail(f"cannot read results {args.out}: {exc}")
         print(format_summary(summarize(rows)))
         return 0
 

@@ -13,6 +13,7 @@ import math
 import typing
 from dataclasses import dataclass, field
 
+from ..baselines import SgldSchedule
 from .data import DEFAULT_THETA_STAR
 
 SCENARIOS = ("gaussian-toy", "probit-synthetic", "probit-csv")
@@ -95,12 +96,22 @@ class SgldParams:
     burn_in: int = 2000
 
     def __post_init__(self):
-        if not 0.5 < self.gamma <= 1.0:
-            raise ConfigError(f"gamma must lie in (0.5, 1], got {self.gamma}")
-        if self.beta <= 0 or self.alpha <= 0:
-            raise ConfigError("alpha and beta must be positive")
-        if not 0 <= self.burn_in < self.iterations:
-            raise ConfigError("burn_in must be smaller than iterations")
+        try:
+            self.schedule(n_data=None)
+        except ValueError as exc:
+            raise ConfigError(f"schemes.sgld: {exc}") from None
+
+    def schedule(self, n_data: int | None) -> SgldSchedule:
+        """The SGLD schedule these parameters give; without a data set
+        (``n_data`` None) every step takes the full gradient."""
+        return SgldSchedule(
+            alpha=self.alpha,
+            beta=self.beta,
+            gamma=self.gamma,
+            n_iterations=self.iterations,
+            burn_in=self.burn_in,
+            minibatch_size=self.n_b if n_data is not None else None,
+        )
 
 
 @dataclass(frozen=True)

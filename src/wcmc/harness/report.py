@@ -10,8 +10,26 @@ GROUP_COLUMNS = ("scheme", "snr_db", "t", "k", "zeta")
 
 
 def load_rows(path: str) -> list[dict]:
+    """The rows of result CSV ``path``.  A file without the group and err2
+    columns, or a cell of them or of kl that is not a number, is a
+    ``ValueError`` naming the missing columns or the cell's line."""
     with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        missing = [c for c in (*GROUP_COLUMNS, "err2") if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"not a result file, no columns {missing}")
+        rows = []
+        for row in reader:
+            for column in (*GROUP_COLUMNS[1:], "err2", "kl"):
+                cell = row.get(column)
+                if column == "kl" and not cell:  # kl is empty without test rows
+                    continue
+                try:
+                    float(cell)
+                except (TypeError, ValueError):
+                    raise ValueError(f"line {reader.line_num}: {column} {cell!r} is not a number") from None
+            rows.append(row)
+    return rows
 
 
 def summarize(rows: list[dict]) -> list[dict]:

@@ -40,7 +40,7 @@ from numpy.random import Generator, Philox, SeedSequence
 
 from .. import __version__
 from ..aggregators import apply_weights, gaussian_product, gcmc_weights, wgcmc_noma, wgcmc_oma
-from ..baselines import SgldSchedule, best_single_worker, sgld_run
+from ..baselines import best_single_worker, sgld_run
 from ..channel import noise_variance, noma_encoding, oma_encodings, power_scale, transmit
 from ..metrics import ensemble_predict, kl_ensemble, second_moment, second_order_error
 from ..posteriors import (
@@ -300,7 +300,7 @@ class Link:
         k = self.config.n_workers
         if self.world.n_data is None:
             return np.eye(self.config.dim)[None] / k
-        return np.linalg.pinv(self.encs["noma"][0].matrix())[None] / k
+        return self.encs["noma"][0].decode_matrix()[None] / k
 
     def run_gcmc(self, mode, params) -> SchemeOutput:
         return SchemeOutput(apply_weights(self.oma_start, self.ys[mode]))
@@ -339,20 +339,13 @@ class Link:
     def run_sgld(self, mode, params) -> SchemeOutput:
         cfg, n_data = self.config, self.world.n_data
         rng = substream(cfg.seed, self.trial, "sgld")
-        schedule = SgldSchedule(
-            alpha=params.alpha,
-            beta=params.beta,
-            gamma=params.gamma,
-            n_iterations=params.iterations,
-            burn_in=params.burn_in,
-            minibatch_size=params.n_b if n_data is not None else None,
-        )
+        schedule = params.schedule(n_data)
         theta0 = np.zeros(cfg.dim)
         if n_data is not None:  # randomized start from the prior
             theta0 = np.sqrt(cfg.prior_variance) * rng.standard_normal(cfg.dim)
         samples = sgld_run(self.world.joint_grad, schedule, theta0, rng, n_data=n_data)
         batch = schedule.minibatch_size if schedule.minibatch_size is not None else (n_data or 1)
-        return SchemeOutput(samples, computed_gradients=params.iterations * batch)
+        return SchemeOutput(samples, computed_gradients=schedule.n_iterations * batch)
 
     def metrics_row(self, name: str, out: SchemeOutput, wall_ms: float) -> dict:
         cfg, world = self.config, self.world

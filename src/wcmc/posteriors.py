@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx, log_ndtr, ndtr, ndtri
+from scipy.special import erfcx, log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .matops import EIG_RTOL, _require_symmetric, psd_factor, sample_mvn, symmetrize
 
@@ -27,8 +27,8 @@ _LOG_2PI = np.log(2.0 * np.pi)
 _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 _SQRT_HALF = np.sqrt(0.5)
 
-# Distance from the truncation boundary beyond which inverse-CDF sampling
-# loses precision and the exponential rejection sampler takes over.
+# Distance from the truncation boundary beyond which 1 - Phi(alpha) loses
+# precision and the inverse CDF is taken in log space from the upper tail.
 _TAIL_CUTOFF = 4.0
 
 # Gibbs coefficient-step system matrix gets this relative ridge when its
@@ -203,48 +203,25 @@ def gaussian_log_joint_fn(cov: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _inverse_cdf_above(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draws of Z ~ N(0,1) conditioned on Z > a, one uniform each."""
-    p_below = ndtr(a)
-    u = rng.uniform(size=a.shape)
-    return ndtri(p_below + u * (1.0 - p_below))
-
-
 def _truncated_std_normal_above(alpha: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw Z ~ N(0,1) conditioned on Z > alpha, elementwise; a NaN or +inf
-    alpha raises ``ValueError`` before the tail branch draws anything.
+    """Draw Z ~ N(0,1) conditioned on Z > alpha, elementwise, by inverse CDF
+    from one uniform per point in index order.  A NaN or +inf alpha raises
+    ``ValueError`` before anything is drawn; -inf is the untruncated normal.
 
-    When no boundary lies past ``_TAIL_CUTOFF`` (the usual case) the whole
-    vector is drawn by inverse CDF at once; the masked split below draws the
-    same numbers from the same stream.  A NaN maximum fails the test too.
+    Past ``_TAIL_CUTOFF`` the same uniform is mapped by the complement form
+    in log space, 1 - Phi(Z) = (1 - u)(1 - Phi(alpha)), which stays exact
+    while alpha**2 / 2 is finite (alpha below about 1.9e154).
     """
     alpha = np.asarray(alpha, dtype=float)
-    if alpha.size and alpha.max() <= _TAIL_CUTOFF:
-        return _inverse_cdf_above(alpha, rng)
-    out = np.empty_like(alpha)
-
-    easy = alpha <= _TAIL_CUTOFF
-    if easy.any():
-        out[easy] = _inverse_cdf_above(alpha[easy], rng)
-
-    hard = ~easy
-    if hard.any():
-        # Exponential-proposal rejection for the deep tail (Robert 1995).
-        a = alpha[hard]
-        if not np.all(np.isfinite(a)):
-            raise ValueError("truncation points must be finite; the rejection loop never accepts")
-        lam = 0.5 * (a + np.sqrt(a * a + 4.0))
-        draws = np.empty_like(a)
-        pending = np.ones(a.shape, dtype=bool)
-        while pending.any():
-            ap = a[pending]
-            lp = lam[pending]
-            z = ap + rng.exponential(size=ap.shape) / lp
-            accept = rng.uniform(size=ap.shape) <= np.exp(-0.5 * (z - lp) ** 2)
-            idx = np.flatnonzero(pending)
-            draws[idx[accept]] = z[accept]
-            pending[idx[accept]] = False
-        out[hard] = draws
+    top = alpha.max(initial=-np.inf)  # NaN if any point is NaN
+    if not top < np.inf:
+        raise ValueError("truncation points must be finite or -inf")
+    u = rng.uniform(size=alpha.shape)
+    p_below = ndtr(alpha)
+    out = ndtri(p_below + u * (1.0 - p_below))
+    if top > _TAIL_CUTOFF:
+        tail = alpha > _TAIL_CUTOFF
+        out[tail] = -ndtri_exp(np.log1p(-u[tail]) + log_ndtr(-alpha[tail]))
     return out
 
 
@@ -255,9 +232,9 @@ def sample_truncated_normal(
 ) -> np.ndarray:
     """Draw from N(mean, 1) restricted to (0, inf) or (-inf, 0], elementwise.
 
-    Inverse-CDF sampling for boundaries within ``_TAIL_CUTOFF`` standard
-    deviations, rejection sampling beyond, so deep-tail draws stay exact and
-    never hang.
+    One uniform per element, mapped by the inverse CDF; boundaries more
+    than ``_TAIL_CUTOFF`` standard deviations into the tail take the log-space
+    form, so deep-tail draws stay exact.
     """
     mean = np.asarray(mean, dtype=float)
     scalar = mean.ndim == 0

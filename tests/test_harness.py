@@ -211,6 +211,23 @@ class TestConfigValidation:
             toy_config(schemes={"wvcmc-oma": {"eta": 1e-3, "t_m": 5, "n_b": 10}})
 
     @pytest.mark.parametrize(
+        "section, message",
+        [
+            ({"gamma": 0.5}, r"gamma must lie in \(0\.5, 1\], got 0\.5"),
+            ({"beta": 0.0}, "alpha and beta must be positive"),
+            ({"iterations": 100, "burn_in": 100}, r"burn_in must lie in \[0, 100\).*got 100"),
+            ({"burn_in": -1}, r"burn_in must lie in \[0, 20000\).*got -1"),
+        ],
+    )
+    def test_sgld_schedule_checked_when_parsed(self, section, message):
+        # the schedule the run uses is built at parse time; its checks name the scheme
+        with pytest.raises(ConfigError, match=r"^schemes\.sgld: " + message):
+            toy_config(schemes={"sgld": section})
+        params = toy_config(schemes={"sgld": {"n_b": 50}}).schemes["sgld"]
+        assert params.schedule(n_data=None).minibatch_size is None
+        assert params.schedule(n_data=200).minibatch_size == 50
+
+    @pytest.mark.parametrize(
         "section", [{"rule": "heterogeneous", "zeta": 1.0}, {"zeta": 0.5}, {"rule": "heterogeneous"}]
     )
     def test_toy_takes_no_partition(self, section):
@@ -965,6 +982,13 @@ class TestCli:
                 ["run"],
                 "csv.pca_dim=5 exceeds the 2 covariate columns of data.csv",
             ),
+            # a CSV that is not a result file, or a result cell that is not a number
+            (
+                None,
+                ["report", "--out", "ab.csv"],
+                r"cannot read results ab\.csv: not a result file, no columns \['scheme', ",
+            ),
+            (None, ["report", "--out", "err2.csv"], "err2.csv: line 3: err2 'abc' is not a number"),
         ],
     )
     def test_errors_end_in_one_line(self, tmp_path, capsys, monkeypatch, doc, argv, message):
@@ -975,6 +999,9 @@ class TestCli:
         (tmp_path / "label3.csv").write_text("x0,x1,label\n0.1,0.2,3\n")
         (tmp_path / "fields.csv").write_text("x0,x1,label\n0.1,0.2,1\n0.3,0\n")
         (tmp_path / "header.csv").write_text("x0,x1,label\n")
+        (tmp_path / "ab.csv").write_text("a,b\n1,2\n")
+        result = "scheme,snr_db,t,k,zeta,err2\ngcmc,0,10,2,0,0.5\n"
+        (tmp_path / "err2.csv").write_text(result + "gcmc,0,10,2,0,abc\n")
         no_chain = lambda *a, **kw: pytest.fail("a chain ran")
         monkeypatch.setattr(runner, "gibbs_probit_sampler", no_chain)
         cfg_path = tmp_path / ("missing.json" if doc is None else "cfg.json")
@@ -989,8 +1016,10 @@ class TestCli:
                 "schemes": {"gcmc": {}},
             }
             cfg_path.write_text(json.dumps({**base, **doc}))
+        if argv[0] != "report":  # report reads --out and takes no config
+            argv = argv + ["--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]
         with pytest.raises(SystemExit) as exc:
-            cli.main(argv + ["--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
+            cli.main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("wcmc: error: ") and err.count("\n") == 1

@@ -233,22 +233,34 @@ class TestTruncatedNormal:
         fresh = np.random.default_rng(10)
         assert rng.uniform() == fresh.uniform()
 
-    def test_all_below_cutoff_draws_match_the_masked_split(self):
-        # Appending one tail point forces the masked split; its inverse-CDF
-        # draws come first in the stream, so they must equal the whole-vector
-        # draws of the same points on the same seed.
+    def test_one_uniform_per_point_in_index_order(self):
+        # Point i's draw is a function of the i-th uniform alone, so appending
+        # tail points leaves the other draws unchanged, and every call advances
+        # the generator by exactly one uniform per point, tail or not.
         alpha = np.random.default_rng(11).uniform(-4.0, posteriors._TAIL_CUTOFF, size=(3, 200))
         alpha[1, 7] = posteriors._TAIL_CUTOFF
-        whole = posteriors._truncated_std_normal_above(alpha, np.random.default_rng(12))
+        rng = np.random.default_rng(12)
+        whole = posteriors._truncated_std_normal_above(alpha, rng)
+        tails = np.array([6.0, 40.0])
         mixed = posteriors._truncated_std_normal_above(
-            np.append(alpha.ravel(), 6.0), np.random.default_rng(12)
+            np.concatenate([alpha.ravel(), tails]), np.random.default_rng(12)
         )
         assert whole.shape == alpha.shape
-        assert np.array_equal(mixed[:-1], whole.ravel())
-        assert mixed[-1] > 6.0 and (whole > alpha).all()
+        assert np.array_equal(mixed[:-2], whole.ravel())
+        assert (mixed[-2:] > tails).all() and (whole > alpha).all()
+        fresh = np.random.default_rng(12)
+        fresh.uniform(size=alpha.size)
+        assert rng.uniform() == fresh.uniform()
+        rng, fresh = np.random.default_rng(13), np.random.default_rng(13)
+        posteriors._truncated_std_normal_above(np.array([0.0, 5.0, 1.0, 9.0]), rng)
+        fresh.uniform(size=4)
+        assert rng.uniform() == fresh.uniform()
 
-    # 3.9 takes the inverse-CDF branch, 4.1 the rejection branch past _TAIL_CUTOFF
-    @pytest.mark.parametrize("alpha, seed", [(-2.0, 31), (0.0, 32), (3.9, 33), (4.1, 34)])
+    # 3.9 is drawn by the inverse CDF, 4.1 and beyond by its log-space form past _TAIL_CUTOFF
+    @pytest.mark.parametrize(
+        "alpha, seed",
+        [(-2.0, 31), (0.0, 32), (3.9, 33), (4.1, 34), (10.0, 35), (40.0, 36), (1000.0, 37)],
+    )
     def test_law_matches_scipy_truncnorm(self, alpha, seed):
         assert (alpha <= posteriors._TAIL_CUTOFF) == (alpha < 4.0)
         draws = posteriors._truncated_std_normal_above(
