@@ -14,7 +14,7 @@ import typing
 from dataclasses import dataclass, field
 
 from ..baselines import SgldSchedule
-from .data import DEFAULT_THETA_STAR
+from .data import DEFAULT_THETA_STAR, GAUSSIAN_FAMILIES
 
 SCENARIOS = ("gaussian-toy", "probit-synthetic", "probit-csv")
 
@@ -230,6 +230,12 @@ class ExperimentConfig:
             raise ConfigError("prior_variance must be positive")
         if self.dim < 1:
             raise ConfigError("dim must be positive")
+        if self.subposteriors not in GAUSSIAN_FAMILIES:
+            raise ConfigError(
+                f"unknown subposteriors {self.subposteriors!r}; expected one of {GAUSSIAN_FAMILIES}"
+            )
+        if self.gibbs_burn_in < 0:
+            raise ConfigError(f"gibbs_burn_in must be non-negative, got {self.gibbs_burn_in}")
         unknown = sorted(set(self.schemes) - set(SCHEMES))
         if unknown:
             raise ConfigError(f"unknown schemes {unknown}; allowed: {list(SCHEMES)}")

@@ -3,43 +3,19 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
 from ..aggregators import gaussian_product
 from ..matops import toeplitz_covariance
-from ..posteriors import GaussianSubposterior
+from ..posteriors import GaussianSubposterior, LabeledDataset
 
 # Ground-truth probit coefficients used by the synthetic scenario.
 DEFAULT_THETA_STAR = (0.1103, -0.5832, 0.6417, 1.8279, 0.4968)
 
-
-@dataclass(frozen=True)
-class LabeledDataset:
-    """Covariate matrix (N, d) with binary labels."""
-
-    covariates: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        u = np.asarray(self.covariates, dtype=float)
-        v = np.asarray(self.labels)
-        if u.ndim != 2 or u.shape[0] < 1:
-            raise ValueError(f"covariates must be (N, d), got {u.shape}")
-        if v.shape != (u.shape[0],) or not np.isin(v, (0, 1)).all():
-            raise ValueError("labels must be one binary value per row")
-        object.__setattr__(self, "covariates", u)
-        object.__setattr__(self, "labels", v.astype(int))
-
-    @property
-    def size(self) -> int:
-        return self.covariates.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.covariates.shape[1]
+# Covariance families of the Gaussian toy's workers.
+GAUSSIAN_FAMILIES = ("heterogeneous", "homogeneous")
 
 
 def gen_gaussian_scenario(
@@ -52,7 +28,7 @@ def gen_gaussian_scenario(
     C_0 = K (sum_k C_k^{-1})^{-1}, so the implied product posterior C_0 / K
     is identical in the two modes.
     """
-    if mode not in ("heterogeneous", "homogeneous"):
+    if mode not in GAUSSIAN_FAMILIES:
         raise ValueError(f"unknown subposterior mode {mode!r}")
     covs = [toeplitz_covariance((k - 1) / n_workers, dim) for k in range(1, n_workers + 1)]
     if mode == "homogeneous":

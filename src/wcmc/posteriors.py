@@ -5,7 +5,9 @@ Two model families are supported: zero-mean Gaussians with known covariance
 shard with an underweighted Gaussian prior.  Probit sampling goes through
 the latent-variable Gibbs scheme: each latent is a unit-variance Gaussian
 truncated to the half-line fixed by its label, and the coefficient draw is
-conjugate given the latents.
+conjugate given the latents.  Every chain starts at its shard's posterior
+mode, found by Newton steps (``probit_mode``).  A ``ProbitShard`` is a
+``LabeledDataset``, which holds the data checks, plus its prior variance.
 
 Each family's log-joint gradient and value are callbacks built by one
 factory (``gaussian_joint_grad_fn``, ``probit_joint_grad_fn`` and their
@@ -30,6 +32,11 @@ _SQRT_HALF = np.sqrt(0.5)
 # Distance from the truncation boundary beyond which 1 - Phi(alpha) loses
 # precision and the inverse CDF is taken in log space from the upper tail.
 _TAIL_CUTOFF = 4.0
+
+# probit_mode stops after a Newton step below _NEWTON_RTOL relative; quadratic
+# convergence leaves an error near _NEWTON_RTOL**2.
+_NEWTON_RTOL = 1e-8
+_NEWTON_STEPS = 50
 
 # Gibbs coefficient-step system matrix gets this relative ridge when its
 # condition number exceeds _COND_CAP.
@@ -69,16 +76,11 @@ class GaussianSubposterior:
 
 
 @dataclass(frozen=True)
-class ProbitShard:
-    """A shard of labeled data bound to a Gaussian prior N(0, prior_variance I).
+class LabeledDataset:
+    """Covariate matrix (n, d) with one 0/1 label per row."""
 
-    Subposteriors use the underweighted prior variance K sigma^2; the global
-    posterior is the K=1 case with the full data set and variance sigma^2.
-    """
-
-    covariates: np.ndarray  # (n, d)
-    labels: np.ndarray  # (n,) in {0, 1}
-    prior_variance: float
+    covariates: np.ndarray
+    labels: np.ndarray
 
     def __post_init__(self):
         u = np.asarray(self.covariates, dtype=float)
@@ -89,8 +91,6 @@ class ProbitShard:
             raise ValueError("labels must be one per covariate row")
         if not np.isin(v, (0, 1)).all():
             raise ValueError("labels must be 0 or 1")
-        if self.prior_variance <= 0:
-            raise ValueError(f"prior variance must be positive, got {self.prior_variance}")
         object.__setattr__(self, "covariates", u)
         object.__setattr__(self, "labels", v.astype(int))
 
@@ -101,6 +101,22 @@ class ProbitShard:
     @property
     def dim(self) -> int:
         return self.covariates.shape[1]
+
+
+@dataclass(frozen=True)
+class ProbitShard(LabeledDataset):
+    """A shard of labeled data bound to a Gaussian prior N(0, prior_variance I).
+
+    Subposteriors use the underweighted prior variance K sigma^2; the global
+    posterior is the K=1 case with the full data set and variance sigma^2.
+    """
+
+    prior_variance: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.prior_variance <= 0:
+            raise ValueError(f"prior variance must be positive, got {self.prior_variance}")
 
 
 # ---------------------------------------------------------------------------
@@ -120,13 +136,6 @@ def _probit_scores(margins: np.ndarray, labels: np.ndarray) -> np.ndarray:
     signs = 2.0 * np.asarray(labels, dtype=float) - 1.0
     st = signs * np.asarray(margins, dtype=float)
     return signs * _SQRT_2_OVER_PI / erfcx(-_SQRT_HALF * st)
-
-
-def probit_loglik(theta: np.ndarray, u: np.ndarray, v) -> float:
-    """Probit log likelihood of observations (u, v) at theta."""
-    margins = np.asarray(u, dtype=float) @ np.asarray(theta, dtype=float)
-    signs = 2.0 * np.asarray(v, dtype=float) - 1.0
-    return float(np.sum(log_ndtr(signs * margins)))
 
 
 # callback factories; each closure maps a sample (d,) or a stack (S, d) and
@@ -157,19 +166,14 @@ def probit_joint_grad_fn(covariates: np.ndarray, labels: np.ndarray, sigma2: flo
 
 def probit_log_joint_fn(covariates: np.ndarray, labels: np.ndarray, sigma2: float):
     shard = ProbitShard(covariates, labels, sigma2)
-    u, v = shard.covariates, shard.labels.astype(float)
-    n, d = shard.size, shard.dim
+    u, signs, n = shard.covariates, 2.0 * shard.labels - 1.0, shard.size
+    const = -0.5 * shard.dim * np.log(2.0 * np.pi * sigma2)
 
     def value(thetas: np.ndarray, idx=None) -> np.ndarray:
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        ub, vb = (u, v) if idx is None else (u[idx], v[idx])
-        margins = thetas @ ub.T
-        signs = 2.0 * vb[None, :] - 1.0
-        loglik = log_ndtr(signs * margins).sum(axis=1) * (n / ub.shape[0])
-        log_prior = -0.5 * np.sum(thetas**2, axis=1) / sigma2 - 0.5 * d * np.log(
-            2.0 * np.pi * sigma2
-        )
-        return log_prior + loglik
+        ub, sb = (u, signs) if idx is None else (u[idx], signs[idx])
+        loglik = log_ndtr(sb * (thetas @ ub.T)).sum(axis=1) * (n / ub.shape[0])
+        return const - 0.5 * np.sum(thetas**2, axis=1) / sigma2 + loglik
 
     return value
 
@@ -210,7 +214,8 @@ def _truncated_std_normal_above(alpha: np.ndarray, rng: np.random.Generator) -> 
 
     Past ``_TAIL_CUTOFF`` the same uniform is mapped by the complement form
     in log space, 1 - Phi(Z) = (1 - u)(1 - Phi(alpha)), which stays exact
-    while alpha**2 / 2 is finite (alpha below about 1.9e154).
+    while alpha**2 / 2 is finite (alpha below about 1.9e154).  Past that the
+    draw is alpha to double precision, and alpha is returned.
     """
     alpha = np.asarray(alpha, dtype=float)
     top = alpha.max(initial=-np.inf)  # NaN if any point is NaN
@@ -221,7 +226,9 @@ def _truncated_std_normal_above(alpha: np.ndarray, rng: np.random.Generator) -> 
     out = ndtri(p_below + u * (1.0 - p_below))
     if top > _TAIL_CUTOFF:
         tail = alpha > _TAIL_CUTOFF
-        out[tail] = -ndtri_exp(np.log1p(-u[tail]) + log_ndtr(-alpha[tail]))
+        z = -ndtri_exp(np.log1p(-u[tail]) + log_ndtr(-alpha[tail]))
+        # +inf where alpha**2 / 2 overflows; the draw there is alpha
+        out[tail] = np.where(z < np.inf, z, alpha[tail])
     return out
 
 
@@ -251,33 +258,29 @@ def sample_truncated_normal(
 # ---------------------------------------------------------------------------
 
 
-def ml_estimate_probit(shard: ProbitShard, max_iter: int = 200) -> np.ndarray:
-    """Gradient-ascent probit maximum-likelihood point, used to start Gibbs chains.
+def probit_mode(shard: ProbitShard) -> np.ndarray:
+    """The shard's posterior mode, by Newton steps from 0; Gibbs chains start here.
 
-    Separable shards have no finite maximizer; when the iterate blows up or
-    turns non-finite the zero vector is returned instead.
+    The log posterior is strictly concave under the N(0, sigma^2 I) prior, so
+    the mode exists even on separable data.  Its negative Hessian is
+    U^T C U + I / sigma^2 with C = diag(lambda (lambda + t)), for probit
+    scores lambda at margins t.  A singular Newton system, a non-finite
+    iterate or no convergence within ``_NEWTON_STEPS`` steps raises.
     """
-    u, v = shard.covariates, shard.labels
+    u, v, sigma2 = shard.covariates, shard.labels, shard.prior_variance
     theta = np.zeros(shard.dim)
-    step = 1.0
-    value = probit_loglik(theta, u, v)
-    for _ in range(max_iter):
-        grad = _probit_scores(u @ theta, v) @ u
-        if np.linalg.norm(grad) < 1e-8 * shard.size:
-            break
-        for _ in range(30):
-            cand = theta + step * grad / shard.size
-            cand_value = probit_loglik(cand, u, v)
-            if np.isfinite(cand_value) and cand_value > value:
-                theta, value = cand, cand_value
-                step *= 1.5
-                break
-            step *= 0.5
-        else:
-            break
-    if not np.all(np.isfinite(theta)) or np.linalg.norm(theta) > 1e3:
-        return np.zeros(shard.dim)
-    return theta
+    for _ in range(_NEWTON_STEPS):
+        margins = u @ theta
+        scores = _probit_scores(margins, v)
+        hess = (u.T * (scores * (scores + margins))) @ u + np.eye(shard.dim) / sigma2
+        # np.linalg.LinAlgError, a ValueError, when the system is singular
+        step = np.linalg.solve(hess, scores @ u - theta / sigma2)
+        theta = theta + step
+        if not np.isfinite(theta).all():
+            raise ValueError("the Newton iterate for the probit mode is not finite")
+        if np.abs(step).max() <= _NEWTON_RTOL * np.abs(theta).max():
+            return theta
+    raise ValueError(f"the probit mode did not converge in {_NEWTON_STEPS} Newton steps")
 
 
 def _gibbs_coefficient_cov(shard: ProbitShard) -> np.ndarray:
@@ -298,7 +301,8 @@ def gibbs_probit_sampler(
 ) -> np.ndarray:
     """Latent-variable Gibbs sampler for the probit posterior of a shard.
 
-    Runs ``burn_in + n_samples`` sweeps and returns the last ``n_samples``
+    Starts at the shard's posterior mode (``probit_mode``), runs
+    ``burn_in + n_samples`` sweeps and returns the last ``n_samples``
     coefficient draws, shape (n_samples, d).  Each sweep resamples every
     latent from its truncated Gaussian (positive side for label 1, negative
     for label 0) and then the coefficients from their Gaussian conditional,
@@ -306,12 +310,14 @@ def gibbs_probit_sampler(
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be non-negative, got {burn_in}")
     u, v = shard.covariates, shard.labels
     cov = _gibbs_coefficient_cov(shard)
     factor = psd_factor(cov)
     positive = v == 1
 
-    theta = ml_estimate_probit(shard)
+    theta = probit_mode(shard)
     out = np.empty((n_samples, shard.dim))
     for sweep in range(burn_in + n_samples):
         latents = sample_truncated_normal(u @ theta, rng, positive=positive)

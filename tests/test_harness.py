@@ -14,6 +14,7 @@ from wcmc import metrics
 from wcmc.harness import cli, report, runner
 from wcmc.harness.config import ConfigError, parse_config
 from wcmc.harness.data import (
+    GAUSSIAN_FAMILIES,
     LabeledDataset,
     export_csv,
     gen_gaussian_scenario,
@@ -227,6 +228,21 @@ class TestConfigValidation:
         assert params.schedule(n_data=None).minibatch_size is None
         assert params.schedule(n_data=200).minibatch_size == 50
 
+    def test_negative_gibbs_burn_in_rejected(self):
+        # the sampler would return burn_in rows of uninitialised memory
+        with pytest.raises(ConfigError, match="gibbs_burn_in must be non-negative, got -5"):
+            toy_config(gibbs_burn_in=-5)
+        assert toy_config(gibbs_burn_in=0).gibbs_burn_in == 0
+
+    def test_unknown_subposterior_family_rejected(self):
+        # the config check and gen_gaussian_scenario read one list of families
+        with pytest.raises(ConfigError, match="unknown subposteriors 'bogus'"):
+            toy_config(subposteriors="bogus")
+        for family in GAUSSIAN_FAMILIES:
+            assert toy_config(subposteriors=family).subposteriors == family
+        with pytest.raises(ValueError, match="unknown subposterior mode 'bogus'"):
+            gen_gaussian_scenario(3, 2, "bogus")
+
     @pytest.mark.parametrize(
         "section", [{"rule": "heterogeneous", "zeta": 1.0}, {"zeta": 0.5}, {"rule": "heterogeneous"}]
     )
@@ -345,6 +361,8 @@ def strip_timing(rows):
 
 # Every scheme on a heterogeneous toy at 10 dB and on probit-synthetic at
 # 20 dB, with the (err2, kl, computed_gradients) each row read when recorded.
+# The probit rows were re-read when Gibbs chains began to start at the
+# posterior mode: same random streams, new start point, moves up to 2.8e-3.
 PINNED_ROWS = [
     (
         {
@@ -395,13 +413,13 @@ PINNED_ROWS = [
             },
         },
         {
-            "gcmc": (0.176900702277482, 0.004462020011156947, 0),
-            "wgcmc-oma": (0.20290276908286906, 0.0012236577563361252, 0),
-            "wgcmc-noma": (0.10982125933326264, 0.001098500642568404, 0),
-            "wvcmc-oma": (0.06846328198447259, 0.0013539919244659054, 30000),
-            "wvcmc-noma": (0.6789231844090449, 0.014021353189808298, 30000),
-            "sgld": (0.9059917472503426, 0.24922835692741482, 200000),
-            "best-single": (0.5320634125502959, 0.015051413633920558, 0),
+            "gcmc": (0.17715939159045352, 0.004465194755558918, 0),
+            "wgcmc-oma": (0.20262503109827598, 0.0012200729570905964, 0),
+            "wgcmc-noma": (0.10980935785135207, 0.0010970294735058624, 0),
+            "wvcmc-oma": (0.06865230052460415, 0.001356064808639218, 30000),
+            "wvcmc-noma": (0.6791831385431767, 0.014023838712591325, 30000),
+            "sgld": (0.9059433674163071, 0.24912604269289168, 200000),
+            "best-single": (0.5323117525506746, 0.01505268926501457, 0),
         },
     ),
 ]
@@ -989,6 +1007,9 @@ class TestCli:
                 r"cannot read results ab\.csv: not a result file, no columns \['scheme', ",
             ),
             (None, ["report", "--out", "err2.csv"], "err2.csv: line 3: err2 'abc' is not a number"),
+            # settings the library would fail on mid-run, or run on with garbage
+            ({**CSV_DOC, "gibbs_burn_in": -5}, ["run"], "gibbs_burn_in must be non-negative"),
+            ({"subposteriors": "bogus"}, ["run"], "unknown subposteriors 'bogus'"),
         ],
     )
     def test_errors_end_in_one_line(self, tmp_path, capsys, monkeypatch, doc, argv, message):

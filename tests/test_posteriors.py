@@ -91,7 +91,7 @@ class TestProbitGradients:
             u = rng.standard_normal(4)
             v = int(rng.uniform() < 0.5)
             grad = loglik_grad(theta, u, v)
-            fd = finite_difference(lambda t: posteriors.probit_loglik(t, u[None, :], [v]), theta)
+            fd = finite_difference(lambda t: log_ndtr((2 * v - 1) * (u @ t)), theta)
             np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-7)
 
     def test_stable_in_deep_tails(self):
@@ -148,7 +148,7 @@ class TestPriorAndJointGrad:
             theta = rng.standard_normal(3)
 
             def objective(t):
-                loglik = posteriors.probit_loglik(t, u[batch], v[batch])
+                loglik = np.sum(log_ndtr((2 * v[batch] - 1) * (u[batch] @ t)))
                 return -0.5 * np.sum(t**2) / sigma2 + (20 / 5) * loglik
 
             log_joint = posteriors.probit_log_joint_fn(u, v, sigma2)
@@ -256,6 +256,12 @@ class TestTruncatedNormal:
         fresh.uniform(size=4)
         assert rng.uniform() == fresh.uniform()
 
+    def test_draw_past_the_overflow_is_alpha(self):
+        # alpha**2 / 2 overflows past about 1.9e154; the exact draw is alpha + O(1 / alpha)
+        alpha = np.array([1e300, 1e200, 2e154])
+        draws = posteriors._truncated_std_normal_above(alpha, np.random.default_rng(38))
+        assert np.isfinite(draws).all() and (draws >= alpha).all()
+
     # 3.9 is drawn by the inverse CDF, 4.1 and beyond by its log-space form past _TAIL_CUTOFF
     @pytest.mark.parametrize(
         "alpha, seed",
@@ -314,6 +320,13 @@ class TestGibbsProbitSampler:
         )
         assert np.abs(draws.mean(axis=0) - oracle).max() < 0.05
 
+    def test_negative_burn_in_raises_before_drawing(self):
+        shard = posteriors.ProbitShard(np.ones((3, 1)), [1, 0, 1], 1.0)
+        rng = np.random.default_rng(19)
+        with pytest.raises(ValueError, match="burn_in must be non-negative, got -5"):
+            posteriors.gibbs_probit_sampler(shard, 10, rng, burn_in=-5)
+        assert rng.uniform() == np.random.default_rng(19).uniform()
+
     def test_latent_signs_match_labels(self):
         rng = np.random.default_rng(14)
         u = rng.standard_normal((25, 2))
@@ -326,27 +339,87 @@ class TestGibbsProbitSampler:
         assert ((state_draws > 0) == (v == 1)).all()
 
 
-class TestMlEstimateProbit:
+def mode_shards():
+    """Random, separable, one-class and one-point shards as (covariates, labels)."""
+    rng = np.random.default_rng(16)
+    truth = np.array([0.1103, -0.5832, 0.6417, 1.8279, 0.4968])
+    u = rng.standard_normal((400, 5))
+    return {
+        "random": (u, (rng.uniform(size=400) < ndtr(u @ truth)).astype(int)),
+        "separable": (u, (u @ truth > 0).astype(int)),
+        "one-class": (u, np.ones(400)),
+        "one-point": (np.ones((1, 2)), np.ones(1)),
+    }
+
+
+class TestProbitMode:
+    @pytest.mark.parametrize("sigma2", [1.0, 20.0, 1e6])
+    @pytest.mark.parametrize("name", list(mode_shards()))
+    def test_gradient_vanishes_at_the_mode(self, name, sigma2):
+        u, v = mode_shards()[name]
+        mode = posteriors.probit_mode(posteriors.ProbitShard(u, v, sigma2))
+        grad = posteriors.probit_joint_grad_fn(u, v, sigma2)(mode)
+        assert np.abs(grad).max() < 1e-10 * len(v)
+
+    def test_separable_mode_is_finite_and_below_the_prior_scale(self):
+        # no finite likelihood maximum exists; the prior holds the mode
+        u, v = mode_shards()["separable"]
+        mode = posteriors.probit_mode(posteriors.ProbitShard(u, v, 20.0))
+        assert 1.0 < np.abs(mode).max() < 20.0
+
+    def test_balanced_symmetric_data_at_zero(self):
+        u = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        shard = posteriors.ProbitShard(u, np.ones(4), 1.0)
+        assert np.array_equal(posteriors.probit_mode(shard), np.zeros(2))
+
     def test_recovers_truth_at_scale(self):
         rng = np.random.default_rng(16)
         truth = np.array([0.1103, -0.5832, 0.6417, 1.8279, 0.4968])
         u = rng.standard_normal((20_000, 5))
         v = (rng.uniform(size=20_000) < ndtr(u @ truth)).astype(int)
-        shard = posteriors.ProbitShard(u, v, 1.0)
-        estimate = posteriors.ml_estimate_probit(shard)
-        assert np.abs(estimate - truth).max() < 0.1
+        mode = posteriors.probit_mode(posteriors.ProbitShard(u, v, 1.0))
+        assert np.abs(mode - truth).max() < 0.1
 
-    def test_balanced_symmetric_data_near_zero(self):
-        u = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        v = np.array([1, 1, 1, 1])
-        shard = posteriors.ProbitShard(u, v, 1.0)
-        estimate = posteriors.ml_estimate_probit(shard)
-        assert np.linalg.norm(estimate) < 1e-4
+    def test_singular_newton_system_raises(self):
+        # |u|^2 = 2e6 swamps the 1e-12 prior precision: the first Hessian is rank one
+        shard = posteriors.ProbitShard(np.full((1, 2), 1000.0), np.ones(1), 1e12)
+        with pytest.raises(ValueError, match="[Ss]ingular"):
+            posteriors.probit_mode(shard)
 
-    def test_single_point_capped_and_finite(self):
-        shard = posteriors.ProbitShard(np.ones((1, 2)), np.ones(1), 1.0)
-        estimate = posteriors.ml_estimate_probit(shard)
-        assert np.isfinite(estimate).all()
+    def test_non_finite_iterate_raises(self):
+        shard = posteriors.ProbitShard(np.full((1, 2), 1e200), np.ones(1), 1.0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="not finite"
+        ):
+            posteriors.probit_mode(shard)
+
+
+class TestLabeledDataset:
+    """The data checks live on the base class; a probit shard adds its prior's."""
+
+    @pytest.mark.parametrize(
+        "covariates, labels, message",
+        [
+            (np.ones((3, 2)), [0, 2, 1], "labels must be 0 or 1"),
+            (np.ones((3, 2)), [0, 1], "labels must be one per covariate row"),
+            (np.ones(3), [0, 1, 1], r"covariates must be \(n, d\) with n >= 1"),
+            (np.ones((0, 2)), [], r"covariates must be \(n, d\) with n >= 1"),
+        ],
+        ids=["label-2", "label-count", "1-d-covariates", "no-rows"],
+    )
+    def test_bad_data_rejected(self, covariates, labels, message):
+        with pytest.raises(ValueError, match=message):
+            posteriors.LabeledDataset(covariates, labels)
+
+    def test_shard_is_the_dataset_plus_its_prior(self):
+        # the shard's data went through the base class: converted, and size and dim read from it
+        shard = posteriors.ProbitShard([[1, 2], [3, 4], [5, 6]], [True, False, True], prior_variance=2)
+        assert isinstance(shard, posteriors.LabeledDataset)
+        assert (shard.size, shard.dim, shard.prior_variance) == (3, 2, 2)
+        assert shard.covariates.dtype == float and shard.labels.tolist() == [1, 0, 1]
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match="prior variance must be positive"):
+                posteriors.ProbitShard(np.ones((2, 1)), [0, 1], bad)
 
 
 class TestGaussianSubposterior:
