@@ -28,6 +28,8 @@ class SgldSchedule:
                 f"burn_in must lie in [0, {self.n_iterations}), the number of iterations, "
                 f"got {self.burn_in}"
             )
+        if self.minibatch_size is not None and self.minibatch_size < 1:
+            raise ValueError(f"minibatch size n_b must be positive, got {self.minibatch_size}")
 
     def step_size(self, t: int) -> float:
         return self.alpha * (self.beta + t) ** (-self.gamma)

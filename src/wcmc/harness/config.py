@@ -97,7 +97,8 @@ class SgldParams:
 
     def __post_init__(self):
         try:
-            self.schedule(n_data=None)
+            # a data set of n_b rows is the least the schedule can serve, so this checks n_b too
+            self.schedule(n_data=self.n_b)
         except ValueError as exc:
             raise ConfigError(f"schemes.sgld: {exc}") from None
 
@@ -118,20 +119,23 @@ class SgldParams:
 class Scheme:
     """How a scheme runs: its access mode ("oma", "noma", or None when it
     uses no channel), its parameter class (None when it takes no
-    parameters) and the name of the ``runner.Link`` method that runs it.
-    The method is named, not referenced, so that configs can be parsed
-    without importing the runner."""
+    parameters), the name of the ``runner.Link`` method that runs it, and
+    whether it fits a covariance to the received blocks, which takes at
+    least 2 blocks per receiver.  The method is named, not referenced, so
+    that configs can be parsed without importing the runner."""
 
     mode: str | None
     params: type | None
     run: str
+    fits: bool = False
 
 
 SCHEMES = {
-    "gcmc": Scheme("oma", None, "run_gcmc"),
-    "wgcmc-oma": Scheme("oma", None, "run_wgcmc"),
-    "wgcmc-noma": Scheme("noma", None, "run_wgcmc"),
-    "wvcmc-oma": Scheme("oma", WvcmcParams, "run_wvcmc"),
+    "gcmc": Scheme("oma", None, "run_gcmc", fits=True),
+    "wgcmc-oma": Scheme("oma", None, "run_wgcmc", fits=True),
+    "wgcmc-noma": Scheme("noma", None, "run_wgcmc", fits=True),
+    # starts from the gcmc fit
+    "wvcmc-oma": Scheme("oma", WvcmcParams, "run_wvcmc", fits=True),
     "wvcmc-noma": Scheme("noma", WvcmcParams, "run_wvcmc"),
     "sgld": Scheme(None, SgldParams, "run_sgld"),
     "best-single": Scheme("oma", None, "run_best_single"),
@@ -222,6 +226,8 @@ class ExperimentConfig:
             raise ConfigError("n_workers must be positive")
         if self.trials < 1:
             raise ConfigError("trials must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.t_blocks < 1:
             raise ConfigError("t_blocks must be positive")
         if self.snr_db == -math.inf:
@@ -246,6 +252,13 @@ class ExperimentConfig:
                 f"orthogonal access needs t_blocks >= n_workers "
                 f"(got T={self.t_blocks}, K={self.n_workers})"
             )
+        for name in self.schemes:
+            s = self.s_oma if SCHEMES[name].mode == "oma" else self.s_noma
+            if SCHEMES[name].fits and s < 2:
+                raise ConfigError(
+                    f"{name} fits a covariance and needs at least 2 blocks per receiver "
+                    f"(got {s} from T={self.t_blocks}, K={self.n_workers})"
+                )
         if self.scenario == "probit-csv" and self.csv is None:
             raise ConfigError("probit-csv runs need a csv section")
         if self.scenario == "probit-synthetic":

@@ -19,9 +19,9 @@ entropies H[p_k] enter that mean as weight-independent constants.
 The bound and its gradient are written once over the receiver stacks:
 numpy's batched linalg runs the same LAPACK routine on each receiver's
 matrix as one call per receiver would, with no Python loop over receivers.
-Each SGD step takes one thin SVD of its W_r stack: it serves both the
-check that the step keeps every W_r clear of singularity and the next
-gradient's pseudo-inverses.
+The gradient's entropy term is the derivative of the two log-determinants
+the bound reads, one batched solve each, and the check that a step keeps
+every W_r E_r and W_r clear of singularity reads singular values only.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregators import apply_weights
-from .matops import EIG_RTOL
 
 # A step is rejected (and retried at half length, up to this many times) when
 # it makes any W_r E_r or W_r non-finite or drives it within this relative
@@ -79,27 +78,14 @@ def free_energy(
     return data_term - entropy_lb(weights, encodings, n0, n_workers, subposterior_entropies)
 
 
-def _pinv_t(w_svd) -> np.ndarray:
-    """The stack of (W_r^+)^T from the thin SVD (U, s, V^T) of the W_r stack.
-
-    Forms W^+ = V diag(1/s) U^T as ``np.linalg.pinv`` does, with the same
-    ``EIG_RTOL`` cutoff and the same operation order, so the result is
-    bit-identical to that of ``pinv`` on the same stack.
-    """
-    u, s, vt = w_svd
-    large = s > EIG_RTOL * np.amax(s, axis=-1, keepdims=True)
-    inv = np.divide(1.0, s, out=np.zeros_like(s), where=large)
-    return np.swapaxes(np.swapaxes(vt, 1, 2) @ (inv[..., None] * np.swapaxes(u, 1, 2)), 1, 2)
-
-
-def grad(weights, ys, encodings, n_workers, joint_grad, idx=None, w_svd=None) -> np.ndarray:
+def grad(weights, ys, encodings, n_workers, joint_grad, idx=None) -> np.ndarray:
     """Stochastic free-energy gradient with respect to each weight W_r.
 
     The data term is -(1/S) sum_s g(theta_s) y_{r,s}^T with g the log-joint
     gradient at theta_s = sum_r W_r y_{r,s}; the entropy-bound term is
-    -(1/n) [(K/R) (W_r E_r)^{-T} E_r^T + (W_r^+)^T] with n = K + R.
-    ``w_svd`` is the thin SVD of the weight stack when the caller already
-    holds it; without it the SVD is taken here.
+    -(1/n) [(K/R) (W_r E_r)^{-T} E_r^T + (W_r W_r^T)^{-1} W_r] with n = K + R,
+    the derivative of (K/R) log|det W_r E_r| + (1/2) log det W_r W_r^T.  For
+    a full-row-rank W_r the second summand is (W_r^+)^T.
     """
     w = np.asarray(weights, dtype=float)
     e = _stack_encodings(encodings)
@@ -108,7 +94,7 @@ def grad(weights, ys, encodings, n_workers, joint_grad, idx=None, w_svd=None) ->
     g = np.asarray(joint_grad(apply_weights(w, ys), idx), dtype=float)
     data = -(g.T @ np.moveaxis(ys, 1, 0)) / s
     ent = np.linalg.solve(np.swapaxes(w @ e, 1, 2), (n_workers / r) * np.swapaxes(e, 1, 2))
-    ent += _pinv_t(np.linalg.svd(w, full_matrices=False) if w_svd is None else w_svd)
+    ent += np.linalg.solve(w @ np.swapaxes(w, 1, 2), w)
     return data - ent / (n_workers + r)
 
 
@@ -149,22 +135,18 @@ def grad_noma(weight, ys, encoding, n_workers, joint_grad, idx=None) -> np.ndarr
     )[0]
 
 
-def _clear(sv: np.ndarray) -> bool:
-    """Whether every row of singular values (largest first) is clear of singularity."""
+def _clear(mats: np.ndarray) -> bool:
+    """Whether every matrix of the stack is finite and clear of singularity."""
+    if not np.all(np.isfinite(mats)):
+        return False
+    sv = np.linalg.svd(mats, compute_uv=False)  # largest first
     return not np.any(sv[:, -1] <= _SINGULAR_RTOL * sv[:, 0])
 
 
-def _checked_svd(w: np.ndarray, e: np.ndarray):
-    """The thin SVD of an (R, d, m_r) weight stack, or None unless every
-    W_r E_r (with the (R, m_r, d) encoder stack) and every W_r is finite and
-    clear of singularity."""
-    we = w @ e
-    if not (np.all(np.isfinite(we)) and np.all(np.isfinite(w))):
-        return None
-    if not _clear(np.linalg.svd(we, compute_uv=False)):
-        return None
-    w_svd = np.linalg.svd(w, full_matrices=False)
-    return w_svd if _clear(w_svd[1]) else None
+def _regular(w: np.ndarray, e: np.ndarray) -> bool:
+    """Whether every W_r E_r of the (R, d, m_r) weight and (R, m_r, d)
+    encoder stacks and every W_r is finite and clear of singularity."""
+    return _clear(w @ e) and _clear(w)
 
 
 @dataclass
@@ -191,9 +173,10 @@ def run_wvcmc(
     ``minibatch_size=None`` means full batch), takes one gradient step, and
     rejects the step with halved length (up to 5 halvings) if it lands on a
     singular weight configuration, where the log-det barrier is infinite.
-    When every halving is rejected the run raises ``RuntimeError``.  The
+    When every halving is rejected the run raises ``RuntimeError``; an
+    ``init`` that fails the same check raises ``ValueError`` before the
+    first gradient, so every gradient is taken at a checked point.  The
     bound's value is never evaluated: only its gradient moves the weights.
-    The thin SVD that clears an accepted step feeds the next gradient.
     Returns the final weights and their aggregation of all S blocks.
     """
     enc = _stack_encodings(encodings)
@@ -201,17 +184,17 @@ def run_wvcmc(
         raise ValueError("minibatch_size must lie in [1, n_data]")
 
     weights = np.asarray(init, dtype=float)
-    w_svd = None
+    if not _regular(weights, enc):
+        raise ValueError("init leaves some W_r E_r or W_r singular or non-finite")
     for t in range(n_iterations):
         idx = None
         if minibatch_size is not None and minibatch_size < n_data:
             idx = rng.choice(n_data, size=minibatch_size, replace=False)
-        direction = grad(weights, ys, enc, n_workers, joint_grad, idx, w_svd)
+        direction = grad(weights, ys, enc, n_workers, joint_grad, idx)
         step = step_size
         for _ in range(_MAX_HALVINGS + 1):
             candidate = weights - step * direction
-            w_svd = _checked_svd(candidate, enc)
-            if w_svd is not None:
+            if _regular(candidate, enc):
                 weights = candidate
                 break
             step *= 0.5

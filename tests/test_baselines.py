@@ -18,6 +18,11 @@ class TestSgldSchedule:
         with pytest.raises(ValueError):
             baselines.SgldSchedule(0.01, -1.0, 0.7, n_iterations=10, burn_in=1)
 
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_minibatch_size_below_one_rejected(self, size):
+        with pytest.raises(ValueError, match=f"n_b must be positive, got {size}"):
+            baselines.SgldSchedule(0.01, 1.0, 0.7, n_iterations=10, burn_in=1, minibatch_size=size)
+
 
 class TestSgldRun:
     def test_zero_gradient_is_random_walk(self):

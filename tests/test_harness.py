@@ -12,7 +12,7 @@ from scipy.special import ndtr
 
 from wcmc import metrics
 from wcmc.harness import cli, report, runner
-from wcmc.harness.config import ConfigError, parse_config
+from wcmc.harness.config import SCHEMES, ConfigError, parse_config
 from wcmc.harness.data import (
     GAUSSIAN_FAMILIES,
     LabeledDataset,
@@ -218,6 +218,9 @@ class TestConfigValidation:
             ({"beta": 0.0}, "alpha and beta must be positive"),
             ({"iterations": 100, "burn_in": 100}, r"burn_in must lie in \[0, 100\).*got 100"),
             ({"burn_in": -1}, r"burn_in must lie in \[0, 20000\).*got -1"),
+            # the toy runs SGLD full batch, but n_b is checked all the same
+            ({"n_b": 0}, "minibatch size n_b must be positive, got 0"),
+            ({"n_b": -3}, "minibatch size n_b must be positive, got -3"),
         ],
     )
     def test_sgld_schedule_checked_when_parsed(self, section, message):
@@ -227,6 +230,39 @@ class TestConfigValidation:
         params = toy_config(schemes={"sgld": {"n_b": 50}}).schemes["sgld"]
         assert params.schedule(n_data=None).minibatch_size is None
         assert params.schedule(n_data=200).minibatch_size == 50
+
+    @pytest.mark.parametrize(
+        "scheme, k, t",
+        [
+            ("gcmc", 10, 15),
+            ("wgcmc-oma", 10, 15),
+            ("wvcmc-oma", 10, 15),  # starts from the gcmc fit
+            ("wgcmc-noma", 3, 1),
+        ],
+    )
+    def test_covariance_fits_need_two_blocks_per_receiver(self, scheme, k, t):
+        params = {"eta": 1e-3, "t_m": 2} if scheme == "wvcmc-oma" else {}
+        message = f"{scheme} fits a covariance and needs at least 2 blocks per receiver"
+        with pytest.raises(ConfigError, match=message):
+            toy_config(n_workers=k, t_blocks=t, schemes={scheme: params})
+        # the least T that gives each receiver 2 blocks passes; a sweep point is checked too
+        least = 2 * k if SCHEMES[scheme].mode == "oma" else 2
+        cfg = toy_config(n_workers=k, t_blocks=least, schemes={scheme: params})
+        with pytest.raises(ConfigError, match=message):
+            apply_axis(cfg, "t", least - 1)
+
+    @pytest.mark.parametrize("scheme, k, t", [("best-single", 3, 3), ("wvcmc-noma", 3, 1)])
+    def test_schemes_that_fit_nothing_run_at_one_block_per_receiver(self, scheme, k, t):
+        params = {"eta": 1e-3, "t_m": 5} if scheme == "wvcmc-noma" else {}
+        cfg = toy_config(n_workers=k, t_blocks=t, trials=1, schemes={scheme: params})
+        (row,) = run_experiment(cfg)
+        assert row["scheme"] == scheme and np.isfinite(row["err2"])
+
+    def test_negative_seed_rejected(self):
+        # numpy's seed sequence takes no negative entry
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            toy_config(seed=-1)
+        assert toy_config(seed=0).seed == 0
 
     def test_negative_gibbs_burn_in_rejected(self):
         # the sampler would return burn_in rows of uninitialised memory
@@ -754,7 +790,7 @@ class TestEndToEndScenarios:
                 "wvcmc-noma: minibatch size n_b=301 exceeds the 300 training rows",
             ),
             (
-                {"n_workers": 40, "t_blocks": 40, "data": {"n": 30, "theta_star": [0.5, -0.5]}},
+                {"n_workers": 40, "t_blocks": 80, "data": {"n": 30, "theta_star": [0.5, -0.5]}},
                 "cannot split 30 points across 40 workers",
             ),
             (
@@ -965,7 +1001,7 @@ class TestCli:
                 "csv.n_test=200 must leave at least one of the 200 rows",
             ),
             (
-                {**CSV_DOC, "n_workers": 201, "t_blocks": 201},
+                {**CSV_DOC, "n_workers": 201, "t_blocks": 402},
                 ["run"],
                 "cannot split 200 points across 201 workers",
             ),
@@ -1010,6 +1046,18 @@ class TestCli:
             # settings the library would fail on mid-run, or run on with garbage
             ({**CSV_DOC, "gibbs_burn_in": -5}, ["run"], "gibbs_burn_in must be non-negative"),
             ({"subposteriors": "bogus"}, ["run"], "unknown subposteriors 'bogus'"),
+            # SGLD's minibatch, a covariance fit from one block per receiver, a negative seed
+            (
+                {**CSV_DOC, "schemes": {"gcmc": {}, "sgld": {"n_b": 0}}},
+                ["run"],
+                "minibatch size n_b must be positive, got 0",
+            ),
+            (
+                {"schemes": {"wgcmc-noma": {}}},
+                ["sweep", "--axis", "t", "--values", "30,1"],
+                "wgcmc-noma fits a covariance and needs at least 2 blocks per receiver",
+            ),
+            ({}, ["run", "--seed", "-1"], "seed must be non-negative, got -1"),
         ],
     )
     def test_errors_end_in_one_line(self, tmp_path, capsys, monkeypatch, doc, argv, message):

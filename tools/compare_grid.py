@@ -4,7 +4,10 @@
     PYTHONPATH=<other checkout>/src python tools/compare_grid.py > parent.txt
     diff parent.txt change.txt
 
-A refactor that moves no random stream leaves the output unchanged.  The
+A refactor that moves no random stream and no rounding leaves the output
+unchanged.  One that changes how a number is computed, such as a solve in
+place of a pseudo-inverse, moves rows in their last bits while every random
+stream stays as it was, so compare such rows by their relative change.  The
 grid is 224 rows: the Gaussian toy (heterogeneous and homogeneous workers,
 K = 6 / T = 600 and K = 10 / T = 2000, at 0, 10 and 20 dB) and
 probit-synthetic (N = 800, K = 4, T = 200, 100 test rows, equal and
