@@ -1,20 +1,1 @@
-"""Experiment orchestration: configs, data generation, runners, CLI."""
-
-from .config import ExperimentConfig, load_config, parse_config
-from .data import LabeledDataset, gen_gaussian_scenario, gen_probit_data, ingest_csv, partition
-from .runner import run_experiment, sweep, write_manifest, write_rows
-
-__all__ = [
-    "ExperimentConfig",
-    "LabeledDataset",
-    "gen_gaussian_scenario",
-    "gen_probit_data",
-    "ingest_csv",
-    "load_config",
-    "parse_config",
-    "partition",
-    "run_experiment",
-    "sweep",
-    "write_manifest",
-    "write_rows",
-]
+"""Configs, data, runners, result files and the CLI; this package re-exports nothing."""

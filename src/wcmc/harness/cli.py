@@ -16,9 +16,8 @@ from typing import NoReturn
 
 from .config import ConfigError, load_config
 from .data import export_csv, gen_probit_data
-from .report import format_summary, load_rows, summarize
-from .runner import SWEEP_AXES, read_manifest, run_experiment, substream, sweep
-from .runner import write_manifest, write_rows
+from .results import check_target, format_summary, load_rows, summarize, write_manifest, write_rows
+from .runner import SWEEP_AXES, run_experiment, substream, sweep
 
 
 def _add_common(parser: argparse.ArgumentParser, runs: bool = True) -> None:
@@ -109,11 +108,14 @@ def _command(args) -> int:
         config.data.check_dim(config.dim)
         rng = substream(config.seed, 0, "data")
         dataset = gen_probit_data(config.data.n, config.dim, config.data.theta_star, rng)
-        export_csv(dataset, out)
+        try:
+            export_csv(dataset, out)
+        except OSError as exc:  # a directory, or a missing one
+            _fail(f"cannot write data {out}: {exc.strerror or exc}")
         print(f"wrote {dataset.size} rows x {dataset.dim} covariates to {out}")
         return 0
 
-    read_manifest(out)  # a manifest that cannot take this run's record stops it here
+    check_target(out)  # a CSV or manifest that cannot take this run's rows stops it here
     extra = {}
     if args.command == "run":
         rows = run_experiment(config, parallel=args.parallel)

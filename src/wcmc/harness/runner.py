@@ -1,4 +1,4 @@
-"""End-to-end experiment execution.
+"""End-to-end experiment execution: worlds, links and sweeps.
 
 A trial is a world and a link.  The world is what one-shot consensus fixes:
 the data, the reference posterior's second moment and test prediction, the
@@ -18,15 +18,12 @@ used evicted first, so an SNR sweep, or configs that differ only in their
 link, run each trial's chains once.  The toy's world is closed-form
 plus a few draws, too cheap to cache.  Each ``--parallel`` pool process has
 its own cache and ``sweep`` starts a pool per point, so parallel sweep points
-do not share chains.
+do not share chains.  Result files are ``results``'s.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import os
-import subprocess
 import time
 from collections import OrderedDict
 from collections.abc import Callable
@@ -35,10 +32,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-import scipy
 from numpy.random import Generator, Philox, SeedSequence
 
-from .. import __version__
 from ..aggregators import apply_weights, gaussian_product, gcmc_weights, wgcmc_noma, wgcmc_oma
 from ..baselines import best_single_worker, sgld_run
 from ..channel import noise_variance, noma_encoding, oma_encodings, power_scale, transmit
@@ -50,22 +45,8 @@ from ..posteriors import (
     probit_joint_grad_fn,
 )
 from ..wvcmc import run_wvcmc
-from .config import SCHEMES, ConfigError, ExperimentConfig, _number, read_json, resolved_dict
+from .config import SCHEMES, ConfigError, ExperimentConfig, _number
 from .data import LabeledDataset, gen_gaussian_scenario, gen_probit_data, ingest_csv, partition
-
-RESULT_COLUMNS = (
-    "scheme",
-    "snr_db",
-    "t",
-    "k",
-    "zeta",
-    "trial",
-    "err2",
-    "kl",
-    "computed_gradients",
-    "wall_ms",
-    "seed",
-)
 
 # Stage identifiers for the counter-based seed split; values are stable so
 # new stages can only be appended, never renumbered.
@@ -417,69 +398,3 @@ def sweep(config: ExperimentConfig, axis: str, values, parallel: int = 1) -> lis
     Every value is checked before the first point runs."""
     configs = [apply_axis(config, axis, value) for value in values]
     return [row for point in configs for row in run_experiment(point, parallel=parallel)]
-
-
-# ---------------------------------------------------------------------------
-# result output
-# ---------------------------------------------------------------------------
-
-
-def write_rows(path: str, rows: list[dict]) -> None:
-    """Append result rows to a CSV file, creating it with a header if absent."""
-    new_file = not os.path.exists(path)
-    with open(path, "a", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
-        if new_file:
-            writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-
-
-def manifest_path(out_path: str) -> str:
-    base, _ = os.path.splitext(out_path)
-    return base + ".manifest.json"
-
-
-def _git_revision() -> str | None:
-    """HEAD of the checkout holding this package; None without git or a checkout."""
-    cmd = ["git", "-C", os.path.dirname(os.path.abspath(__file__)), "rev-parse", "HEAD"]
-    try:
-        done = subprocess.run(cmd, capture_output=True, text=True, timeout=10)
-    except (OSError, subprocess.SubprocessError):
-        return None
-    return done.stdout.strip() if done.returncode == 0 else None
-
-
-def read_manifest(out_path: str) -> list:
-    """The run records next to the result CSV ([] without a manifest); a manifest that
-    is neither a JSON list nor an older single-record object is a ``ConfigError``."""
-    path = manifest_path(out_path)
-    runs = read_json(path, "manifest") if os.path.exists(path) else []
-    runs = [runs] if isinstance(runs, dict) else runs
-    if not isinstance(runs, list):
-        raise ConfigError(f"manifest {path} is not a JSON list of runs (got {type(runs).__name__})")
-    return runs
-
-
-def write_manifest(out_path: str, config: ExperimentConfig, extra: dict | None = None) -> None:
-    """Append one run's record (library, numpy and scipy versions, git
-    revision, master seed, resolved config and ``extra``) to the JSON list
-    next to the result CSV.
-
-    ``write_rows`` appends to the CSV, so the manifest keeps one record per
-    run in the same order as the runs' rows.
-    """
-    path = manifest_path(out_path)
-    runs = read_manifest(out_path)
-    record = {
-        "version": __version__,
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "git_revision": _git_revision(),
-        "master_seed": config.seed,
-        "config": resolved_dict(config),
-        **(extra or {}),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(runs + [record], fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -107,3 +107,14 @@ def test_failed_run_stops_with_its_stderr(checkouts):
     (checkouts["change"] / "stub.py").write_text("import sys\nsys.exit('benchmark broke')\n")
     with pytest.raises(RuntimeError, match="benchmark broke"):
         bench_pairs.run_pairs(checkouts, ["toy-snr"], 2, 0, 1.0)
+
+
+def test_machine_names_the_blas_and_its_thread_variables(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    blas = bench_pairs.np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert bench_pairs.machine().endswith(
+        f"BLAS {blas['name']} {blas['version']}, "
+        "OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=unset, MKL_NUM_THREADS=unset"
+    )

@@ -11,7 +11,7 @@ import scipy
 from scipy.special import ndtr
 
 from wcmc import metrics
-from wcmc.harness import cli, report, runner
+from wcmc.harness import cli, results, runner
 from wcmc.harness.config import SCHEMES, ConfigError, parse_config
 from wcmc.harness.data import (
     GAUSSIAN_FAMILIES,
@@ -23,7 +23,8 @@ from wcmc.harness.data import (
     partition,
     pca_project,
 )
-from wcmc.harness.runner import apply_axis, run_experiment, sweep, write_manifest, write_rows
+from wcmc.harness.results import write_manifest, write_rows
+from wcmc.harness.runner import apply_axis, run_experiment, sweep
 from wcmc.posteriors import gibbs_probit_sampler
 
 NAN = float("nan")
@@ -696,10 +697,24 @@ class TestResultFiles:
         def no_git(*args, **kwargs):
             raise FileNotFoundError("git")
 
-        monkeypatch.setattr(runner.subprocess, "run", no_git)
+        monkeypatch.setattr(results.subprocess, "run", no_git)
         write_manifest(out, toy_config())
         runs = json.loads((tmp_path / "results.manifest.json").read_text())
         assert runs[1]["git_revision"] is None
+
+    def test_manifest_records_the_blas_and_its_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        write_manifest(tmp_path / "results.csv", toy_config())
+        [doc] = json.loads((tmp_path / "results.manifest.json").read_text())
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert doc["blas"] == f"{blas['name']} {blas['version']}"
+        assert doc["blas_threads"] == {
+            "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": None,
+            "MKL_NUM_THREADS": None,
+        }
 
     def test_manifest_from_older_version_kept(self, tmp_path):
         # a manifest holding one run's record as a bare object becomes the first record
@@ -709,18 +724,34 @@ class TestResultFiles:
         runs = json.loads((tmp_path / "results.manifest.json").read_text())
         assert [run["master_seed"] for run in runs] == [1, 11]
 
+    @pytest.mark.parametrize("config", [toy_config(trials=1), probit_config()])
+    def test_rows_have_the_result_columns_in_order(self, config):
+        rows = run_experiment(config)
+        assert rows and all(tuple(row) == results.COLUMNS for row in rows)
+
+    def test_report_reads_a_file_written_before_columns_were_appended(self, tmp_path):
+        # the oldest readable file: the group columns and err2, no kl
+        out = tmp_path / "old.csv"
+        out.write_text("scheme,snr_db,t,k,zeta,err2\ngcmc,0,10,2,0,0.5\ngcmc,0,10,2,0,0.7\n")
+        [entry] = results.summarize(results.load_rows(out))
+        assert entry["n"] == 2 and entry["err2_mean"] == pytest.approx(0.6)
+        assert "kl_mean" not in entry
+        assert results.format_summary([entry]).splitlines()[0].split() == [
+            *results.GROUP_COLUMNS, "n", "err2_mean", "err2_p5", "err2_p95"
+        ]
+
     def test_report_orders_sweep_points_by_value(self, tmp_path):
         out = tmp_path / "results.csv"
         rows = run_experiment(toy_config(trials=1, schemes={"gcmc": {}}))
         write_rows(out, [dict(rows[0], snr_db=snr) for snr in (5.0, 10.0, 0.0)])
-        summary = report.summarize(report.load_rows(out))
+        summary = results.summarize(results.load_rows(out))
         assert [entry["snr_db"] for entry in summary] == ["0.0", "5.0", "10.0"]
 
     def test_report_summary(self, tmp_path):
         cfg = toy_config(trials=3, schemes={"gcmc": {}, "wgcmc-oma": {}})
         out = tmp_path / "results.csv"
         write_rows(out, run_experiment(cfg))
-        summary = report.summarize(report.load_rows(out))
+        summary = results.summarize(results.load_rows(out))
         assert {e["scheme"] for e in summary} == {"gcmc", "wgcmc-oma"}
         for entry in summary:
             assert entry["n"] == 3
@@ -1096,6 +1127,61 @@ class TestCli:
         assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize(
+        "out, content, message",
+        [
+            ("data.csv", None, r"cannot append to data\.csv: its header is not scheme,snr_db,"),
+            ("old.csv", "scheme,snr_db,t,k,zeta,err2\ngcmc,0,10,2,0,0.5\n", "its header is not"),
+            ("empty.csv", "", r"cannot append to empty\.csv: its header is not"),
+            ("latin1.csv", "scheme,\xe9\n".encode("latin-1"), "codec can't decode byte 0xe9"),
+            ("folder", "dir", r"cannot read results folder: Is a directory$"),
+            ("missing/o.csv", None, r"cannot write results missing/o\.csv: no such directory$"),
+            ("data.csv/o.csv", None, "no such directory$"),
+        ],
+        ids=["data", "older-header", "empty", "not-utf8", "directory", "no-directory", "file-parent"],
+    )
+    @pytest.mark.parametrize("argv", [["run"], ["sweep", "--axis", "snr", "--values", "0,10"]])
+    def test_out_that_cannot_take_the_rows_stops_the_run(
+        self, tmp_path, capsys, monkeypatch, argv, out, content, message
+    ):
+        # before any chain: one error line, status 2, and every file left as it was
+        monkeypatch.chdir(tmp_path)
+        export_csv(gen_probit_data(200, 2, [0.5, -0.5], np.random.default_rng(4)), "data.csv")
+        if content == "dir":
+            (tmp_path / out).mkdir()
+        elif isinstance(content, bytes):
+            (tmp_path / out).write_bytes(content)
+        elif content is not None:
+            (tmp_path / out).write_text(content)
+        manifest = tmp_path / results.manifest_path(out)
+        if manifest.parent.is_dir():
+            manifest.write_text('[{"master_seed": 1}]\n')
+        base = {"n_workers": 3, "t_blocks": 30, "snr_db": 10.0, "trials": 1, "seed": 5}
+        (tmp_path / "cfg.json").write_text(json.dumps({**base, **CSV_DOC, "schemes": {"gcmc": {}}}))
+        monkeypatch.setattr(runner, "gibbs_probit_sampler", lambda *a, **kw: pytest.fail("a chain ran"))
+        tree = {p: p.is_dir() or p.read_bytes() for p in tmp_path.rglob("*")}
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--config", "cfg.json", "--out", out])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("wcmc: error: ") and err.count("\n") == 1
+        assert re.search(message, err.rstrip("\n"))
+        assert {p: p.is_dir() or p.read_bytes() for p in tmp_path.rglob("*")} == tree
+
+    @pytest.mark.parametrize(
+        "out, message", [("missing/d.csv", "No such file or directory"), (".", "Is a directory")]
+    )
+    def test_gen_data_write_error_is_one_line(self, tmp_path, capsys, monkeypatch, out, message):
+        monkeypatch.chdir(tmp_path)
+        doc = {"scenario": "probit-synthetic", "n_workers": 3, "t_blocks": 30, "snr_db": 10.0}
+        doc.update(trials=1, seed=5, schemes={"gcmc": {}})
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gen-data", "--config", "cfg.json", "--out", out])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"wcmc: error: cannot write data {out}: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize(
         "manifest, message",
         [
             ("{broken", "invalid JSON"),
@@ -1183,6 +1269,6 @@ class TestCli:
         out_b = tmp_path / "b.csv"
         cli.main(["run", "--config", str(cfg_path), "--out", str(out_a)])
         cli.main(["run", "--config", str(cfg_path), "--seed", "99", "--out", str(out_b)])
-        rows_a = report.load_rows(out_a)
-        rows_b = report.load_rows(out_b)
+        rows_a = results.load_rows(out_a)
+        rows_b = results.load_rows(out_b)
         assert rows_a[0]["err2"] != rows_b[0]["err2"]

@@ -33,6 +33,7 @@ import scipy
 
 SIDES = ("parent", "change")
 METRICS = ("trial_s", "setup_s", "peak_rss_mb")  # all lower-is-better
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def pair_order(i: int) -> tuple[str, str]:
@@ -150,6 +151,18 @@ def traced_rounds(checkouts: dict, workloads, seed: int, seconds: float) -> dict
     return out
 
 
+def machine() -> str:
+    """CPUs, Python, numpy and scipy, the BLAS numpy was built against and the
+    BLAS thread variables, which the benchmark runs inherit."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = ", ".join(f"{name}={os.environ.get(name, 'unset')}" for name in THREAD_VARIABLES)
+    return (
+        f"{os.cpu_count()}-CPU {platform.machine()}, Python {platform.python_version()}, "
+        f"numpy {np.__version__}, scipy {scipy.__version__}, "
+        f"BLAS {blas.get('name')} {blas.get('version')}, {threads}"
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
@@ -185,10 +198,7 @@ def main(argv=None) -> int:
             "and quartiles (inclusive method) over each side's runs; 'runs' lists them in "
             "pair order. Written by tools/bench_pairs.py."
         ),
-        "machine": (
-            f"{os.cpu_count()}-CPU {platform.machine()}, Python {platform.python_version()}, "
-            f"numpy {np.__version__}, scipy {scipy.__version__}"
-        ),
+        "machine": machine(),
         "workloads": summarize(runs, workloads),
     }
     if args.trace_seed is not None:
