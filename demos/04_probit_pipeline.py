@@ -4,9 +4,10 @@ Synthetic binary data is split across 20 workers, each runs a
 latent-variable Gibbs sampler on its shard, and the draws travel through
 i.i.d. Gaussian channels (two-fold repetition coding, zero-forcing) at
 15 dB.  The server then aggregates with each scheme and scores second
-moments and ensemble predictions against a long reference chain on the
-full data set.  Desk-scale settings so the script finishes in about a
-minute.
+moments and ensemble predictions against the full data set's posterior,
+integrated by Gauss-Hermite quadrature (the ``reference`` section sets the
+Gibbs chain that stands in only when the quadrature gives up).  Desk-scale
+settings so the script finishes in well under a minute.
 
 Expect the noise-subtracting closed-form rule (wgcmc-oma) to collapse here:
 probit subposteriors are far from zero-mean, their covariances sit below

@@ -191,6 +191,9 @@ class CsvParams:
 
 @dataclass(frozen=True)
 class ReferenceParams:
+    """The Gibbs chain that stands in for the quadrature reference when
+    ``posteriors.probit_quadrature`` gives up; read only then."""
+
     n_samples: int = 20000
     burn_in: int = 100
 

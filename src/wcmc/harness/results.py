@@ -28,6 +28,7 @@ COLUMNS = (
     "computed_gradients",
     "wall_ms",
     "seed",
+    "ref_err",
 )
 GROUP_COLUMNS = COLUMNS[:5]  # a scheme at a sweep point
 _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

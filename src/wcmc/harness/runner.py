@@ -11,14 +11,19 @@ of randomness is a counter-based substream keyed by (master seed, trial,
 stage), so adding schemes or running trials in parallel never perturbs
 existing streams.
 
-A probit world's Gibbs products are cached in the process under everything
-the chains read (``_chain_key``: seed, trial, data, prior, reference, K,
-partition, burn-in and S), up to ``CHAIN_CACHE_BYTES`` with the least recently
-used evicted first, so an SNR sweep, or configs that differ only in their
-link, run each trial's chains once.  The toy's world is closed-form
-plus a few draws, too cheap to cache.  Each ``--parallel`` pool process has
-its own cache and ``sweep`` starts a pool per point, so parallel sweep points
-do not share chains.  Result files are ``results``'s.
+A probit world's reference is ``posteriors.probit_quadrature``'s weighted
+nodes, summarised into the moment and test prediction; only when the
+quadrature gives up does a Gibbs chain of ``reference.n_samples`` draws after
+``reference.burn_in`` sweeps take its place.  The reference and the workers'
+draws are cached in the process, each under what it reads (``_cache_keys``):
+the reference under the data, the prior and the ``reference`` section, the
+draws under the data, the prior, K, the partition, the burn-in and S.  Both share ``CHAIN_CACHE_BYTES``, the least recently used
+entry evicted first.  So an SNR sweep, or configs that differ only in their
+link, build each trial's world once, and a ``t``, ``k`` or ``zeta`` sweep
+computes one reference per trial.  The toy's world is closed-form plus a few
+draws, too cheap to cache.  Each ``--parallel`` pool process has its own
+cache and ``sweep`` starts a pool per point, so parallel sweep points do not
+share it.  Result files are ``results``'s.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from ..posteriors import (
     gaussian_joint_grad_fn,
     gibbs_probit_sampler,
     probit_joint_grad_fn,
+    probit_quadrature,
 )
 from ..wvcmc import run_wvcmc
 from .config import SCHEMES, ConfigError, ExperimentConfig, _number
@@ -72,7 +78,9 @@ def substream(master_seed: int, trial: int, stage: str, extra: int = 0) -> Gener
 class World:
     """One trial's inputs that no link setting changes, shared read-only by
     every scheme.  ``n_data`` is None for the Gaussian toy, which has no data
-    set, and the test fields are None without test rows."""
+    set, and the test fields are None without test rows.  ``reference_error``
+    is the quadrature's step difference, 0 for the toy's exact covariance and
+    None for a Gibbs reference."""
 
     worker_samples: np.ndarray  # (s_max, K, d)
     reference_moment: np.ndarray  # (d, d)
@@ -80,6 +88,7 @@ class World:
     n_data: int | None = None
     test_covariates: np.ndarray | None = None
     reference_prediction: np.ndarray | None = None
+    reference_error: float | None = None
 
     def __post_init__(self):
         for value in vars(self).values():
@@ -87,15 +96,25 @@ class World:
                 value.flags.writeable = False
 
 
-# (reference moment, reference prediction, worker draws) by chain key, least
-# recently used first.  An S = 50, K = 20, d = 5 entry is about 48 KB.
+# (reference moment, reference prediction, reference error) by reference key
+# and (worker draws,) by workers key, least recently used first.  An S = 50,
+# K = 20, d = 5 draws entry is about 48 KB.
 _CHAINS: OrderedDict = OrderedDict()
 CHAIN_CACHE_BYTES = 64 * 2**20
 
 
 def chain_cache_bytes() -> int:
-    """Bytes of array data the cached chain products hold."""
-    return sum(a.nbytes for entry in _CHAINS.values() for a in entry if a is not None)
+    """Bytes of array data the cached references and draws hold."""
+    return sum(getattr(a, "nbytes", 0) for entry in _CHAINS.values() for a in entry)
+
+
+def _cached(key: tuple, build: Callable[[], tuple]) -> tuple:
+    """The cache entry under ``key``, built on a miss; now the most recent."""
+    entry = _CHAINS.pop(key, None) or build()
+    _CHAINS[key] = entry
+    while chain_cache_bytes() > CHAIN_CACHE_BYTES:
+        _CHAINS.popitem(last=False)
+    return entry
 
 
 def _draw_count(config: ExperimentConfig) -> int:
@@ -118,15 +137,15 @@ def gaussian_world(config: ExperimentConfig, trial: int) -> World:
     _, global_cov = gaussian_product([s.cov for s in subs])
     draws = _worker_draws(config, trial, lambda j, s, rng: subs[j].sample(rng, size=s))
     # Zero-mean target: the exact covariance doubles as the second moment.
-    return World(draws, global_cov, gaussian_joint_grad_fn(global_cov))
+    return World(draws, global_cov, gaussian_joint_grad_fn(global_cov), reference_error=0.0)
 
 
 def probit_world(config: ExperimentConfig, trial: int) -> World:
     """Data, partition and minibatch sizes are checked on every build, before
     any chain runs; data that cannot serve the config is a ``ConfigError``."""
     try:
-        # the key before the load: a CSV rewritten meanwhile misses next time
-        key = _chain_key(config, trial)
+        # the keys before the load: a CSV rewritten meanwhile misses next time
+        reference_key, workers_key = _cache_keys(config, trial)
         dataset, test_u = _load_data(config, substream(config.seed, trial, "data"))
     except OSError as exc:  # a missing or unreadable csv.path
         path = config.csv.path
@@ -151,46 +170,45 @@ def probit_world(config: ExperimentConfig, trial: int) -> World:
             raise ConfigError(
                 f"{name}: minibatch size n_b={n_b} exceeds the {dataset.size} training rows"
             )
-    hit = _CHAINS.pop(key, None)
-    moment, prediction, draws = hit or _probit_chains(config, trial, dataset, test_u, shards_idx)
-    grad = probit_joint_grad_fn(dataset.covariates, dataset.labels, config.prior_variance)
-    world = World(draws, moment, grad, dataset.size, test_u, reference_prediction=prediction)
-    _CHAINS[key] = (moment, prediction, draws)  # now the most recent; World made them read-only
-    while chain_cache_bytes() > CHAIN_CACHE_BYTES:
-        _CHAINS.popitem(last=False)
-    return world
-
-
-def _probit_chains(config, trial, dataset, test_u, shards_idx) -> tuple:
-    """The reference chain's second moment and test prediction (None without
-    test rows), and the workers' draws."""
-    ref_samples = gibbs_probit_sampler(
-        ProbitShard(dataset.covariates, dataset.labels, config.prior_variance),
-        config.reference.n_samples,
-        substream(config.seed, trial, "reference"),
-        burn_in=config.reference.burn_in,
+    moment, prediction, error = _cached(
+        reference_key, lambda: _reference(config, trial, dataset, test_u)
     )
     k_prior = config.n_workers * config.prior_variance  # each shard takes the prior^(1/K)
     shards = [ProbitShard(dataset.covariates[i], dataset.labels[i], k_prior) for i in shards_idx]
-    draws = _worker_draws(
-        config,
-        trial,
-        lambda j, s, rng: gibbs_probit_sampler(shards[j], s, rng, burn_in=config.gibbs_burn_in),
-    )
-    prediction = None if test_u is None else ensemble_predict(ref_samples, test_u)
-    return second_moment(ref_samples), prediction, draws
+    draw = lambda j, s, rng: gibbs_probit_sampler(shards[j], s, rng, burn_in=config.gibbs_burn_in)
+    (draws,) = _cached(workers_key, lambda: (_worker_draws(config, trial, draw),))
+    grad = probit_joint_grad_fn(dataset.covariates, dataset.labels, config.prior_variance)
+    return World(draws, moment, grad, dataset.size, test_u, prediction, error)
 
 
-def _chain_key(config: ExperimentConfig, trial: int) -> tuple:
-    """Everything a probit world's Gibbs chains read; link settings are not in it."""
+def _reference(config, trial, dataset, test_u) -> tuple:
+    """The reference posterior's second moment, test prediction (None without
+    test rows) and error: the quadrature's, or a Gibbs chain's with error None
+    when the quadrature gives up."""
+    shard = ProbitShard(dataset.covariates, dataset.labels, config.prior_variance)
+    quadrature = probit_quadrature(shard)
+    if quadrature is None:
+        rng = substream(config.seed, trial, "reference")
+        samples = gibbs_probit_sampler(
+            shard, config.reference.n_samples, rng, burn_in=config.reference.burn_in
+        )
+        weights = error = None
+    else:
+        samples, weights, error = quadrature
+    prediction = None if test_u is None else ensemble_predict(samples, test_u, weights)
+    return second_moment(samples, weights), prediction, error
+
+
+def _cache_keys(config: ExperimentConfig, trial: int) -> tuple[tuple, tuple]:
+    """The reference's cache key and the worker draws': what each reads.  Both
+    read the data and the prior; link settings are in neither."""
     data = config.data
     if config.scenario == "probit-csv":
         stat = os.stat(config.csv.path)  # which file, and which version of it
         data = (config.csv, stat.st_dev, stat.st_ino, stat.st_mtime_ns, stat.st_size)
-    inputs = (config.seed, trial, config.scenario, data, config.dim)
-    reference = (config.prior_variance, config.reference)
+    inputs = (config.seed, trial, config.scenario, data, config.dim, config.prior_variance)
     workers = (config.n_workers, config.partition, config.gibbs_burn_in, _draw_count(config))
-    return inputs + reference + workers
+    return ("reference", *inputs, config.reference), ("workers", *inputs, *workers)
 
 
 def _load_data(config: ExperimentConfig, rng: Generator):
@@ -346,6 +364,7 @@ class Link:
             "computed_gradients": out.computed_gradients,
             "wall_ms": wall_ms,
             "seed": cfg.seed,
+            "ref_err": "" if world.reference_error is None else world.reference_error,
         }
 
 

@@ -3,7 +3,8 @@
 The headline metric is the mean relative error of all d^2 second-moment
 test functions theta_i theta_j; predictive quality for probit models is the
 mean Bernoulli KL between ensemble predictions under produced and reference
-samples.
+samples.  A reference given as weighted nodes, such as a quadrature's, is
+summarised by the same functions with its weights.
 """
 
 from __future__ import annotations
@@ -14,21 +15,36 @@ from scipy.special import ndtr
 PROB_CLAMP = 1e-12
 
 
-def second_moment(samples: np.ndarray) -> np.ndarray:
-    """Uncentered second-moment matrix (1/S) sum_s theta_s theta_s^T."""
+def _checked_weights(weights, n: int) -> np.ndarray:
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (n,):
+        raise ValueError(f"need one weight per sample, got shape {w.shape} for {n} samples")
+    return w
+
+
+def second_moment(samples: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """Uncentered second-moment matrix (1/S) sum_s theta_s theta_s^T, or
+    sum_s w_s theta_s theta_s^T under weights that sum to one."""
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError(f"expected (S, d) samples, got shape {x.shape}")
-    return x.T @ x / x.shape[0]
+    if weights is None:
+        return x.T @ x / x.shape[0]
+    return (x.T * _checked_weights(weights, x.shape[0])) @ x
 
 
 def second_order_error(samples: np.ndarray, reference_moment: np.ndarray) -> float:
-    """Mean relative error of the d^2 second-moment entries.
+    """Mean relative error of the d^2 second-moment entries (``moment_error``
+    of the samples' second moment)."""
+    return moment_error(second_moment(samples), reference_moment)
+
+
+def moment_error(m_hat: np.ndarray, reference_moment: np.ndarray) -> float:
+    """Mean relative error of a second-moment matrix's entries against a reference.
 
     Entries whose reference value is exactly zero cannot be scored (division
     by zero) and are excluded from the mean.
     """
-    m_hat = second_moment(samples)
     m_ref = np.asarray(reference_moment, dtype=float)
     if m_ref.shape != m_hat.shape:
         raise ValueError(f"reference shape {m_ref.shape} does not match {m_hat.shape}")
@@ -38,13 +54,20 @@ def second_order_error(samples: np.ndarray, reference_moment: np.ndarray) -> flo
     return float(np.mean(np.abs(m_hat[usable] - m_ref[usable]) / np.abs(m_ref[usable])))
 
 
-def ensemble_predict(samples: np.ndarray, covariates: np.ndarray) -> np.ndarray:
-    """Ensemble probit prediction (1/S) sum_s Phi(theta_s^T u) per covariate row."""
+def ensemble_predict(
+    samples: np.ndarray, covariates: np.ndarray, weights: np.ndarray | None = None
+) -> np.ndarray:
+    """Ensemble probit prediction (1/S) sum_s Phi(theta_s^T u) per covariate
+    row, or sum_s w_s Phi(theta_s^T u) under weights that sum to one."""
     thetas = np.asarray(samples, dtype=float)
     u = np.asarray(covariates, dtype=float)
     single = u.ndim == 1
     margins = np.atleast_2d(u) @ thetas.T  # (n, S)
-    probs = ndtr(margins, out=margins).mean(axis=1)
+    probs = ndtr(margins, out=margins)
+    if weights is None:
+        probs = probs.mean(axis=1)
+    else:
+        probs = probs @ _checked_weights(weights, thetas.shape[0])
     return float(probs[0]) if single else probs
 
 

@@ -6,7 +6,10 @@ shard with an underweighted Gaussian prior.  Probit sampling goes through
 the latent-variable Gibbs scheme: each latent is a unit-variance Gaussian
 truncated to the half-line fixed by its label, and the coefficient draw is
 conjugate given the latents.  Every chain starts at its shard's posterior
-mode, found by Newton steps (``probit_mode``).  A ``ProbitShard`` is a
+mode, found by Newton steps (``probit_mode``).  A whole data set's posterior,
+the reference the schemes are scored against, is also given by adaptive
+Gauss-Hermite quadrature at that mode (``probit_quadrature``), which has no
+Monte Carlo noise and states its own error.  A ``ProbitShard`` is a
 ``LabeledDataset``, which holds the data checks, plus its prior variance.
 
 Each family's log-joint gradient and value are callbacks built by one
@@ -18,12 +21,14 @@ check the data and prior variance once, when they are built.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx, log_ndtr, ndtr, ndtri, ndtri_exp
+from scipy.special import erfcx, log_ndtr, ndtr, ndtri, ndtri_exp, roots_hermitenorm
 
 from .matops import EIG_RTOL, _require_symmetric, psd_factor, sample_mvn, symmetrize
+from .metrics import moment_error, second_moment
 
 _LOG_2PI = np.log(2.0 * np.pi)
 _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
@@ -37,6 +42,14 @@ _TAIL_CUTOFF = 4.0
 # convergence leaves an error near _NEWTON_RTOL**2.
 _NEWTON_RTOL = 1e-8
 _NEWTON_STEPS = 50
+
+# probit_quadrature stops when two successive grids' second moments differ by
+# less than _QUAD_RTOL, and gives up before a grid of more than _QUAD_MAX_NODES
+# nodes.  It evaluates the log joint _QUAD_BLOCK nodes at a time: a (64, 8500)
+# margin block is 4.4 MB.
+_QUAD_RTOL = 1e-5
+_QUAD_MAX_NODES = 4096
+_QUAD_BLOCK = 64
 
 # Gibbs coefficient-step system matrix gets this relative ridge when its
 # condition number exceeds _COND_CAP.
@@ -172,7 +185,9 @@ def probit_log_joint_fn(covariates: np.ndarray, labels: np.ndarray, sigma2: floa
     def value(thetas: np.ndarray, idx=None) -> np.ndarray:
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         ub, sb = (u, signs) if idx is None else (u[idx], signs[idx])
-        loglik = log_ndtr(sb * (thetas @ ub.T)).sum(axis=1) * (n / ub.shape[0])
+        margins = thetas @ ub.T
+        margins *= sb
+        loglik = log_ndtr(margins, out=margins).sum(axis=1) * (n / ub.shape[0])
         return const - 0.5 * np.sum(thetas**2, axis=1) / sigma2 + loglik
 
     return value
@@ -258,29 +273,77 @@ def sample_truncated_normal(
 # ---------------------------------------------------------------------------
 
 
+def _newton_system(shard: ProbitShard, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The log posterior's gradient and negative Hessian U^T C U + I / sigma^2
+    at theta, with C = diag(lambda (lambda + t)) for probit scores lambda at
+    margins t."""
+    u, sigma2 = shard.covariates, shard.prior_variance
+    margins = u @ theta
+    scores = _probit_scores(margins, shard.labels)
+    hess = (u.T * (scores * (scores + margins))) @ u + np.eye(shard.dim) / sigma2
+    return scores @ u - theta / sigma2, hess
+
+
 def probit_mode(shard: ProbitShard) -> np.ndarray:
     """The shard's posterior mode, by Newton steps from 0; Gibbs chains start here.
 
     The log posterior is strictly concave under the N(0, sigma^2 I) prior, so
-    the mode exists even on separable data.  Its negative Hessian is
-    U^T C U + I / sigma^2 with C = diag(lambda (lambda + t)), for probit
-    scores lambda at margins t.  A singular Newton system, a non-finite
-    iterate or no convergence within ``_NEWTON_STEPS`` steps raises.
+    the mode exists even on separable data.  A singular Newton system, a
+    non-finite iterate or no convergence within ``_NEWTON_STEPS`` steps raises.
     """
-    u, v, sigma2 = shard.covariates, shard.labels, shard.prior_variance
     theta = np.zeros(shard.dim)
     for _ in range(_NEWTON_STEPS):
-        margins = u @ theta
-        scores = _probit_scores(margins, v)
-        hess = (u.T * (scores * (scores + margins))) @ u + np.eye(shard.dim) / sigma2
+        grad, hess = _newton_system(shard, theta)
         # np.linalg.LinAlgError, a ValueError, when the system is singular
-        step = np.linalg.solve(hess, scores @ u - theta / sigma2)
+        step = np.linalg.solve(hess, grad)
         theta = theta + step
         if not np.isfinite(theta).all():
             raise ValueError("the Newton iterate for the probit mode is not finite")
         if np.abs(step).max() <= _NEWTON_RTOL * np.abs(theta).max():
             return theta
     raise ValueError(f"the probit mode did not converge in {_NEWTON_STEPS} Newton steps")
+
+
+def probit_quadrature(shard: ProbitShard) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """The shard's posterior as weighted nodes, by adaptive Gauss-Hermite
+    quadrature at its Laplace approximation (Naylor and Smith 1982; Liu and
+    Pierce 1994).
+
+    Nodes are theta = mode + L z, with L L^T the inverse negative Hessian at
+    the mode and z on the p^d probabilists' Hermite grid.  A node's weight is
+    its grid weight times exp(log p(theta) + |z|^2 / 2), the posterior over
+    the Laplace density up to a constant, normalised.  p starts at 2 and rises
+    until two successive grids' second moments differ by a ``moment_error``
+    below ``_QUAD_RTOL``; the finer grid is returned as (nodes (n, d),
+    weights (n,), that difference).  None when the next grid would have more
+    than ``_QUAD_MAX_NODES`` nodes: a large d, or a posterior far from its
+    Laplace approximation, such as a small or near-separable shard's.
+    """
+    mode = probit_mode(shard)
+    _, hess = _newton_system(shard, mode)
+    scale = psd_factor(symmetrize(np.linalg.inv(hess)))
+    log_joint = probit_log_joint_fn(shard.covariates, shard.labels, shard.prior_variance)
+    previous = None
+    for p in itertools.count(2):
+        if p**shard.dim > _QUAD_MAX_NODES:
+            return None
+        roots, grid_weights = roots_hermitenorm(p)
+        index = np.indices((p,) * shard.dim).reshape(shard.dim, -1).T  # (p^d, d)
+        z = roots[index]
+        nodes = mode + z @ scale.T
+        with np.errstate(divide="ignore"):  # a weight past p of about 170 underflows to 0
+            log_w = np.log(grid_weights)[index].sum(axis=1) + 0.5 * np.sum(z**2, axis=1)
+        # _QUAD_BLOCK nodes at a time bound the (nodes, N) margins
+        blocks = range(0, nodes.shape[0], _QUAD_BLOCK)
+        log_w += np.concatenate([log_joint(nodes[i : i + _QUAD_BLOCK]) for i in blocks])
+        weights = np.exp(log_w - log_w.max())
+        weights /= weights.sum()
+        moment = second_moment(nodes, weights)
+        if previous is not None:
+            error = moment_error(previous, moment)
+            if error < _QUAD_RTOL:
+                return nodes, weights, error
+        previous = moment
 
 
 def _gibbs_coefficient_cov(shard: ProbitShard) -> np.ndarray:

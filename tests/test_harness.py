@@ -25,7 +25,7 @@ from wcmc.harness.data import (
 )
 from wcmc.harness.results import write_manifest, write_rows
 from wcmc.harness.runner import apply_axis, run_experiment, sweep
-from wcmc.posteriors import gibbs_probit_sampler
+from wcmc.posteriors import gibbs_probit_sampler, probit_quadrature
 
 NAN = float("nan")
 
@@ -543,7 +543,23 @@ def count_chains(monkeypatch) -> list:
     return sizes
 
 
-WORLD_FIELDS = ("worker_samples", "reference_moment", "reference_prediction")
+def record_references(monkeypatch) -> list:
+    """(shard size, result) of each reference quadrature the runner computes from now on."""
+    calls = []
+
+    def recording(shard):
+        calls.append((shard.size, probit_quadrature(shard)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(runner, "probit_quadrature", recording)
+    return calls
+
+
+WORLD_FIELDS = ("worker_samples", "reference_moment", "reference_prediction", "reference_error")
+
+# a 100-row, 5-covariate probit set at theta* = 3 1: its posterior is too far
+# from its Laplace approximation for a grid of at most 4096 nodes
+NEAR_SEPARABLE = {"n_workers": 2, "dim": 5, "data": {"n": 100, "theta_star": [3.0] * 5, "n_test": 20}}
 
 
 class TestWorld:
@@ -552,7 +568,7 @@ class TestWorld:
         # them shares, built once and bit-equal to a cold build
         a = runner.build_world(probit_config(snr_db=0.0), 0)
         assert a.worker_samples.shape == (30, 3, 2)
-        chains = count_chains(monkeypatch)
+        chains, references = count_chains(monkeypatch), record_references(monkeypatch)
         for link in (
             {"snr_db": 20.0},
             {"snr_db": float("inf")},
@@ -560,11 +576,12 @@ class TestWorld:
             {"schemes": {"wgcmc-noma": {}, "wvcmc-noma": {"eta": 1e-3, "t_m": 2}}},
         ):
             b = runner.build_world(probit_config(**link), 0)
-            assert chains == []
+            assert chains == [] and references == []
             runner._CHAINS.clear()
             c = runner.build_world(probit_config(**link), 0)
-            assert len(chains) == 1 + 3
+            assert len(chains) == 3 and len(references) == 1
             chains.clear()
+            references.clear()
             for field in WORLD_FIELDS:
                 np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
                 np.testing.assert_array_equal(getattr(a, field), getattr(c, field))
@@ -586,26 +603,32 @@ class TestWorld:
         ids=lambda o: next(iter(o)) if len(o) == 1 else str(o),
     )
     def test_what_the_chains_read_is_in_the_key(self, monkeypatch, overrides):
+        # the reference reads the data, the prior and the reference section;
+        # the worker chains read the data, the prior, K, the partition, the
+        # burn-in and S
         overrides = dict(overrides)
         trial = overrides.pop("trial", 0)
+        name = next(iter(overrides), "trial")
         runner.build_world(probit_config(), 0)
-        chains = count_chains(monkeypatch)
+        chains, references = count_chains(monkeypatch), record_references(monkeypatch)
         cfg = probit_config(**overrides)
         runner.build_world(cfg, trial)
-        assert len(chains) == 1 + cfg.n_workers
+        workers_only = name in ("n_workers", "partition", "gibbs_burn_in", "t_blocks")
+        assert len(references) == (not workers_only)
+        assert len(chains) == (0 if name == "reference" else cfg.n_workers)
 
     def test_rewritten_csv_rebuilds(self, tmp_path, monkeypatch):
         path = tmp_path / "data.csv"
         cfg = probit_config(scenario="probit-csv", csv={"path": str(path)}, data=None)
         export_csv(gen_probit_data(300, 2, [0.5, -0.5], np.random.default_rng(1)), path)
         a = runner.build_world(cfg, 0)
-        chains = count_chains(monkeypatch)
+        chains, references = count_chains(monkeypatch), record_references(monkeypatch)
         export_csv(gen_probit_data(320, 2, [0.5, -0.5], np.random.default_rng(2)), path)
         b = runner.build_world(cfg, 0)
-        assert len(chains) == 1 + 3
+        assert len(chains) == 3 and len(references) == 1
         assert not np.array_equal(a.reference_moment, b.reference_moment)
         runner.build_world(cfg, 0)
-        assert len(chains) == 1 + 3  # the unchanged file hits
+        assert len(chains) == 3 and len(references) == 1  # the unchanged file hits
 
     def test_byte_bound_evicts_the_least_recently_used(self, monkeypatch):
         runner.build_world(probit_config(seed=1), 0)
@@ -613,11 +636,11 @@ class TestWorld:
         monkeypatch.setattr(runner, "CHAIN_CACHE_BYTES", entry * 3 // 2)
         runner.build_world(probit_config(seed=2), 0)
         assert runner.chain_cache_bytes() == entry
-        chains = count_chains(monkeypatch)
+        chains, references = count_chains(monkeypatch), record_references(monkeypatch)
         runner.build_world(probit_config(seed=2), 0)
-        assert chains == []
+        assert chains == [] and references == []
         runner.build_world(probit_config(seed=1), 0)
-        assert len(chains) == 1 + 3
+        assert len(chains) == 3 and len(references) == 1
 
     def test_minibatch_check_still_fires_on_a_hit(self, monkeypatch):
         runner.build_world(probit_config(), 0)
@@ -630,31 +653,57 @@ class TestWorld:
     def test_probit_snr_sweep_matches_cold_points(self, monkeypatch):
         cfg = probit_config(trials=2)
         values = [0.0, 10.0, float("inf")]
-        chains = count_chains(monkeypatch)
+        chains, references = count_chains(monkeypatch), record_references(monkeypatch)
         swept = sweep(cfg, "snr", values)
-        assert len(chains) == cfg.trials * (1 + cfg.n_workers)  # each trial's chains once
+        # each trial's reference and chains once
+        assert len(chains) == cfg.trials * cfg.n_workers and len(references) == cfg.trials
         cold = []
         for value in values:
             runner._CHAINS.clear()
             cold.extend(run_experiment(apply_axis(cfg, "snr", value)))
         assert strip_timing(swept) == strip_timing(cold)
 
-    def test_reference_summarised_from_its_draws(self, monkeypatch):
-        chains = []
+    def test_block_count_sweep_computes_one_reference_per_trial(self, monkeypatch):
+        cfg = probit_config(trials=2)
+        chains, references = count_chains(monkeypatch), record_references(monkeypatch)
+        sweep(cfg, "t", [30, 60])
+        assert len(references) == cfg.trials
+        assert len(chains) == 2 * cfg.trials * cfg.n_workers  # S changes the worker draws
+
+    def test_reference_summarised_from_its_quadrature(self, monkeypatch):
+        chains, references = count_chains(monkeypatch), record_references(monkeypatch)
+        world = runner.build_world(probit_config(), 0)
+        [(size, (nodes, weights, error))] = references
+        assert size == 300 and chains == [100, 100, 100]  # no chain over the whole data set
+        assert weights.sum() == pytest.approx(1.0) and 0.0 <= error < 1e-5
+        np.testing.assert_array_equal(world.reference_moment, metrics.second_moment(nodes, weights))
+        np.testing.assert_array_equal(
+            world.reference_prediction,
+            metrics.ensemble_predict(nodes, world.test_covariates, weights),
+        )
+        assert world.reference_error == error
+
+    def test_reference_falls_back_to_its_gibbs_chain(self, monkeypatch):
+        draws = []
 
         def recording(shard, n_samples, rng, **kw):
-            chains.append(gibbs_probit_sampler(shard, n_samples, rng, **kw))
-            return chains[-1]
+            draws.append(gibbs_probit_sampler(shard, n_samples, rng, **kw))
+            return draws[-1]
 
         monkeypatch.setattr(runner, "gibbs_probit_sampler", recording)
-        world = runner.build_world(probit_config(), 0)
-        reference = chains[0]  # the first chain runs over the whole data set
-        assert reference.shape == (1000, 2) and len(chains) == 1 + 3
+        references = record_references(monkeypatch)
+        cfg = probit_config(**NEAR_SEPARABLE)
+        world = runner.build_world(cfg, 0)
+        assert references == [(100, None)]
+        reference = draws[0]  # the first chain runs over the whole data set
+        assert reference.shape == (1000, 5) and len(draws) == 1 + cfg.n_workers
         np.testing.assert_array_equal(world.reference_moment, metrics.second_moment(reference))
         np.testing.assert_array_equal(
             world.reference_prediction,
             metrics.ensemble_predict(reference, world.test_covariates),
         )
+        assert world.reference_error is None
+        assert {row["ref_err"] for row in run_experiment(cfg)} == {""}
 
     def test_schemes_cannot_write_to_the_world(self):
         world = runner.build_world(toy_config(), 0)
@@ -728,6 +777,14 @@ class TestResultFiles:
     def test_rows_have_the_result_columns_in_order(self, config):
         rows = run_experiment(config)
         assert rows and all(tuple(row) == results.COLUMNS for row in rows)
+        # the reference's error: 0 for the toy's exact covariance, the
+        # quadrature's step difference on probit
+        ref_err = {row["ref_err"] for row in rows}
+        if config.scenario == "gaussian-toy":
+            assert ref_err == {0.0}
+        else:
+            [value] = ref_err
+            assert isinstance(value, float) and 0.0 <= value < 1e-5
 
     def test_report_reads_a_file_written_before_columns_were_appended(self, tmp_path):
         # the oldest readable file: the group columns and err2, no kl
@@ -842,11 +899,11 @@ class TestEndToEndScenarios:
     def test_reference_prediction_computed_once_per_trial(self, monkeypatch):
         # every scheme's KL compares against one prediction of the reference ensemble
         predict = metrics.ensemble_predict
-        sizes = []
+        weighted = []
 
-        def counting(samples, covariates):
-            sizes.append(len(samples))
-            return predict(samples, covariates)
+        def counting(samples, covariates, weights=None):
+            weighted.append(weights is not None)
+            return predict(samples, covariates, weights)
 
         monkeypatch.setattr(metrics, "ensemble_predict", counting)
         monkeypatch.setattr(runner, "ensemble_predict", counting, raising=False)
@@ -866,8 +923,8 @@ class TestEndToEndScenarios:
         )
         rows = run_experiment(cfg)
         assert all(np.isfinite(row["kl"]) for row in rows)
-        assert sizes.count(1000) == 1
-        assert len(sizes) == 1 + len(rows)
+        # the reference's weighted prediction over its quadrature nodes, then one per row
+        assert weighted == [True] + [False] * len(rows)
 
     def test_worker_count_sweep(self):
         cfg = toy_config(trials=1, t_blocks=60, schemes={"wvcmc-noma": {"eta": 1e-2, "t_m": 5}})

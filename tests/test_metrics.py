@@ -71,6 +71,42 @@ class TestEnsemblePredict:
         np.testing.assert_allclose(out, oracle, atol=1e-12)
 
 
+class TestWeightedSummaries:
+    """Weighted nodes, such as a quadrature's, summarised like samples."""
+
+    def test_integer_weights_repeat_their_sample(self):
+        rng = np.random.default_rng(4)
+        nodes = rng.standard_normal((5, 3))
+        counts = np.array([1, 3, 0, 2, 4])
+        repeated = np.repeat(nodes, counts, axis=0)
+        weights = counts / counts.sum()
+        us = rng.standard_normal((6, 3))
+        np.testing.assert_allclose(
+            metrics.second_moment(nodes, weights), metrics.second_moment(repeated), atol=1e-14
+        )
+        np.testing.assert_allclose(
+            metrics.ensemble_predict(nodes, us, weights),
+            metrics.ensemble_predict(repeated, us),
+            atol=1e-14,
+        )
+
+    def test_one_weight_per_node(self):
+        nodes = np.ones((4, 2))
+        for weights in (np.full(3, 1 / 3), np.full((4, 1), 0.25), np.ones(1)):
+            with pytest.raises(ValueError, match="one weight per sample"):
+                metrics.second_moment(nodes, weights)
+            with pytest.raises(ValueError, match="one weight per sample"):
+                metrics.ensemble_predict(nodes, np.ones((2, 2)), weights)
+
+    def test_moment_error_is_the_samples_err2(self):
+        rng = np.random.default_rng(5)
+        samples = rng.standard_normal((30, 3))
+        reference = np.eye(3) + 0.1
+        assert metrics.moment_error(metrics.second_moment(samples), reference) == (
+            metrics.second_order_error(samples, reference)
+        )
+
+
 class TestKlEnsemble:
     def test_identical_sample_sets_zero(self):
         rng = np.random.default_rng(4)

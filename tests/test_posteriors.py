@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 from scipy.special import log_ndtr, ndtr
 
-from wcmc import aggregators, posteriors
+from wcmc import aggregators, metrics, posteriors
 from wcmc.matops import toeplitz_covariance
 
 
@@ -392,6 +392,92 @@ class TestProbitMode:
             ValueError, match="not finite"
         ):
             posteriors.probit_mode(shard)
+
+
+def quadrature_shard(n=50):
+    """A 2-d probit shard whose posterior the tests integrate on grids."""
+    rng = np.random.default_rng(12)
+    u = rng.standard_normal((n, 2))
+    v = (rng.uniform(size=n) < ndtr(u @ np.array([0.8, -0.5]))).astype(int)
+    return posteriors.ProbitShard(u, v, prior_variance=1.0)
+
+
+def dense_grid_moments(shard, nodes=201, width=10.0):
+    """Plain-numpy oracle: the 2-d posterior's mean and second moment on a
+    uniform tensor grid of ``nodes`` points per axis, ``width`` standard
+    deviations either side of the mean that a coarse first grid finds."""
+    signs = 2.0 * shard.labels - 1.0
+
+    def weighted(axes):
+        t1, t2 = np.meshgrid(*axes, indexing="ij")
+        thetas = np.stack([t1.ravel(), t2.ravel()], axis=1)
+        logpost = log_ndtr(signs * (thetas @ shard.covariates.T)).sum(axis=1)
+        logpost -= 0.5 * np.sum(thetas**2, axis=1) / shard.prior_variance
+        weights = np.exp(logpost - logpost.max())
+        return thetas, weights / weights.sum()
+
+    thetas, weights = weighted([np.linspace(-6.0, 6.0, 121)] * 2)
+    mean = weights @ thetas
+    sd = np.sqrt(weights @ (thetas - mean) ** 2)
+    thetas, weights = weighted([np.linspace(m - width * s, m + width * s, nodes) for m, s in zip(mean, sd)])
+    return weights @ thetas, (thetas.T * weights) @ thetas
+
+
+class TestProbitQuadrature:
+    def test_matches_a_dense_grid(self):
+        # the 201 x 201 grid agrees with a 301 x 301 one to about 1e-14.  The
+        # quadrature stops at a 49-node step difference of 7.1e-6, below
+        # _QUAD_RTOL, and sits 1.2e-6 from the grid
+        shard = quadrature_shard()
+        nodes, weights, error = posteriors.probit_quadrature(shard)
+        assert (weights >= 0).all() and weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert 0.0 <= error < posteriors._QUAD_RTOL
+        mean, moment = dense_grid_moments(shard)
+        assert metrics.moment_error(metrics.second_moment(nodes, weights), moment) < error
+        np.testing.assert_allclose(weights @ nodes, mean, rtol=0, atol=1e-5)
+
+    def test_a_long_gibbs_chain_agrees_within_its_monte_carlo_error(self):
+        shard = quadrature_shard()
+        nodes, weights, _ = posteriors.probit_quadrature(shard)
+        draws = posteriors.gibbs_probit_sampler(shard, 20_000, np.random.default_rng(31))
+        # batch means: 50 batches of 400 draws carry the chain's autocorrelation
+        products = np.einsum("si,sj->sij", draws, draws).reshape(50, 400, 4).mean(axis=1)
+        stderr = products.std(axis=0, ddof=1) / np.sqrt(50)
+        gap = metrics.second_moment(draws) - metrics.second_moment(nodes, weights)
+        assert (np.abs(gap.ravel()) < 4.0 * stderr).all()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gives_up_on_a_near_separable_shard(self, seed):
+        # N = 100 rows at theta* = 3 1: no grid of at most 4096 nodes (p = 5)
+        # settles, so the caller falls back to a Gibbs chain
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal((100, 5))
+        v = (rng.uniform(size=100) < ndtr(u @ np.full(5, 3.0))).astype(int)
+        assert posteriors.probit_quadrature(posteriors.ProbitShard(u, v, 1.0)) is None
+
+    @pytest.mark.parametrize("dim, evaluated", [(8, 2**8), (13, 0)])
+    def test_gives_up_before_a_grid_past_the_node_cap(self, monkeypatch, dim, evaluated):
+        # the nodes whose log joint is evaluated.  d = 8: the p = 2 grid has
+        # 256 and the p = 3 one would have 6561; d = 13: the p = 2 grid itself
+        # would have 8192
+        sizes = []
+        factory = posteriors.probit_log_joint_fn
+
+        def recording(*args):
+            value = factory(*args)
+
+            def counted(thetas):
+                sizes.append(len(thetas))
+                return value(thetas)
+
+            return counted
+
+        monkeypatch.setattr(posteriors, "probit_log_joint_fn", recording)
+        rng = np.random.default_rng(3)
+        u = rng.standard_normal((500, dim))
+        v = (rng.uniform(size=500) < ndtr(u @ np.full(dim, 0.1))).astype(int)
+        assert posteriors.probit_quadrature(posteriors.ProbitShard(u, v, 1.0)) is None
+        assert sum(sizes) == evaluated
 
 
 class TestLabeledDataset:
