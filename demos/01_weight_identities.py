@@ -12,7 +12,8 @@ variant converging to the exact one as blocks accumulate.
 import numpy as np
 
 from wcmc import aggregators, channel
-from wcmc.matops import sample_mvn, toeplitz_covariance
+from wcmc.harness.data import toeplitz_covariance
+from wcmc.matops import sample_mvn
 
 rng = np.random.default_rng(1)
 
@@ -37,7 +38,7 @@ for s in (100, 1000, 10000):
     thetas = np.stack([sample_mvn(np.zeros(d), cov0, rng, size=s) for _ in range(k)], axis=1)
     enc = channel.noma_encoding([min(p_scales)] * k, d)
     ys = channel.transmit(thetas, [enc], n0, rng)
-    ws = aggregators.wgcmc_noma(ys, k, min(p_scales), n0)
+    ws = aggregators.gcmc_weights(ys, [min(p_scales)], k, n0)
     out = aggregators.apply_weights(ws, ys)
     target = cov0 / k
     gap = np.abs(out.T @ out / s - target).max() / np.abs(target).max()

@@ -5,10 +5,10 @@ from __future__ import annotations
 import csv
 
 import numpy as np
+from scipy.linalg import toeplitz
 from scipy.special import ndtr
 
 from ..aggregators import gaussian_product
-from ..matops import toeplitz_covariance
 from ..posteriors import GaussianSubposterior, LabeledDataset
 
 # Ground-truth probit coefficients used by the synthetic scenario.
@@ -16,6 +16,15 @@ DEFAULT_THETA_STAR = (0.1103, -0.5832, 0.6417, 1.8279, 0.4968)
 
 # Covariance families of the Gaussian toy's workers.
 GAUSSIAN_FAMILIES = ("heterogeneous", "homogeneous")
+
+
+def toeplitz_covariance(rho: float, dim: int) -> np.ndarray:
+    """Symmetric Toeplitz covariance with entries rho^{|i-j|}."""
+    if not -1.0 <= rho <= 1.0:
+        raise ValueError(f"rho must lie in [-1, 1], got {rho}")
+    if dim < 1:
+        raise ValueError(f"dim must be positive, got {dim}")
+    return toeplitz(float(rho) ** np.arange(dim))
 
 
 def gen_gaussian_scenario(

@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from ..aggregators import apply_weights, gaussian_product, gcmc_weights, wgcmc_noma, wgcmc_oma
+from ..aggregators import apply_weights, gaussian_product, gcmc_weights
 from ..baselines import best_single_worker, sgld_run
 from ..channel import noise_variance, noma_encoding, oma_encodings, power_scale, transmit
 from ..metrics import ensemble_predict, kl_ensemble, second_moment, second_order_error
@@ -79,8 +79,8 @@ class World:
     """One trial's inputs that no link setting changes, shared read-only by
     every scheme.  ``n_data`` is None for the Gaussian toy, which has no data
     set, and the test fields are None without test rows.  ``reference_error``
-    is the quadrature's step difference, 0 for the toy's exact covariance and
-    None for a Gibbs reference."""
+    is the quadrature's step difference (an indication of its accuracy, not a
+    bound), 0 for the toy's exact covariance and None for a Gibbs reference."""
 
     worker_samples: np.ndarray  # (s_max, K, d)
     reference_moment: np.ndarray  # (d, d)
@@ -183,8 +183,8 @@ def probit_world(config: ExperimentConfig, trial: int) -> World:
 
 def _reference(config, trial, dataset, test_u) -> tuple:
     """The reference posterior's second moment, test prediction (None without
-    test rows) and error: the quadrature's, or a Gibbs chain's with error None
-    when the quadrature gives up."""
+    test rows) and step difference: the quadrature's, or a Gibbs chain's with
+    step difference None when the quadrature gives up."""
     shard = ProbitShard(dataset.covariates, dataset.labels, config.prior_variance)
     quadrature = probit_quadrature(shard)
     if quadrature is None:
@@ -281,16 +281,22 @@ class Link:
 
     @cached_property
     def decoded(self) -> np.ndarray:
-        """Per-worker decoded signals E_k^+ y_k, shape (S, K, d)."""
+        """Per-worker decoded signals E_k^+ y_k, shape (S, K, d), which
+        best-single picks from."""
         ys = self.ys["oma"]
         return np.stack([e.decode(ys[:, j, :]) for j, e in enumerate(self.encs["oma"])], axis=1)
 
+    def _fit(self, mode: str, n0: float) -> np.ndarray:
+        """The consensus rule fitted on ``mode``'s received blocks, told ``n0``."""
+        scales = [e.scale for e in self.encs[mode]]
+        return gcmc_weights(self.ys[mode], scales, self.config.n_workers, n0, self.reps)
+
     @cached_property
     def oma_start(self) -> np.ndarray:
-        """The gcmc fit on decoded signals composed with the decoders: the
-        gcmc weights, and the point wvcmc-oma starts from."""
-        decoders = np.stack([e.decode_matrix() for e in self.encs["oma"]])
-        return np.einsum("kde,kem->kdm", gcmc_weights(self.decoded), decoders)
+        """The rule told N0 = 0, which is the product rule on decoded signals
+        composed with the decoders: the gcmc weights, and the point wvcmc-oma
+        starts from."""
+        return self._fit("oma", 0.0)
 
     @property
     def noma_start(self) -> np.ndarray:
@@ -305,12 +311,7 @@ class Link:
         return SchemeOutput(apply_weights(self.oma_start, self.ys[mode]))
 
     def run_wgcmc(self, mode, params) -> SchemeOutput:
-        ys, scales = self.ys[mode], [e.scale for e in self.encs[mode]]
-        if mode == "oma":
-            ws = wgcmc_oma(ys, scales, self.n0, self.reps)
-        else:
-            ws = wgcmc_noma(ys, self.config.n_workers, scales[0], self.n0, self.reps)
-        return SchemeOutput(apply_weights(ws, ys))
+        return SchemeOutput(apply_weights(self._fit(mode, self.n0), self.ys[mode]))
 
     def run_best_single(self, mode, params) -> SchemeOutput:
         metric = lambda s: second_order_error(s, self.world.reference_moment)

@@ -9,7 +9,6 @@ values below ``EIG_RTOL`` times the largest are treated as zero.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 # Relative eigenvalue / singular-value cutoff for pseudo-spectral operations.
 EIG_RTOL = 1e-10
@@ -20,22 +19,25 @@ SYM_RTOL = 1e-12
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Return (A + A^T)/2."""
+    """Return (A + A^T)/2, for a matrix or each matrix of a stack."""
     a = np.asarray(a, dtype=float)
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
-def _require_square(a: np.ndarray, name: str) -> np.ndarray:
+def _require_square(a: np.ndarray, name: str, stacked: bool = False) -> np.ndarray:
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
+    if a.ndim != 2 + stacked or a.shape[-1] != a.shape[-2]:
+        what = "a stack of square matrices" if stacked else "a square matrix"
+        raise ValueError(f"{name} must be {what}, got shape {a.shape}")
     return a
 
 
-def _require_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    a = _require_square(a, name)
-    scale = np.abs(a).max()
-    if scale > 0 and np.abs(a - a.T).max() > SYM_RTOL * scale:
+def _require_symmetric(a: np.ndarray, name: str = "matrix", stacked: bool = False) -> np.ndarray:
+    """The symmetrized input, checked one matrix at a time when ``stacked``."""
+    a = _require_square(a, name, stacked)
+    scale = np.abs(a).max(axis=(-2, -1))
+    asymmetry = np.abs(a - np.swapaxes(a, -1, -2)).max(axis=(-2, -1))
+    if np.any((scale > 0) & (asymmetry > SYM_RTOL * scale)):
         raise ValueError(f"{name} is not symmetric to within {SYM_RTOL:g} relative")
     return symmetrize(a)
 
@@ -53,19 +55,11 @@ def _psd_eig(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def positive_part(a: np.ndarray) -> np.ndarray:
-    """Project a symmetric matrix onto the PSD cone by clamping negative eigenvalues."""
-    a = _require_symmetric(a, "positive_part input")
+    """Project a symmetric matrix, or each of an (R, n, n) stack, onto the PSD
+    cone by clamping negative eigenvalues."""
+    a = _require_symmetric(a, "positive_part input", stacked=np.ndim(a) == 3)
     w, v = np.linalg.eigh(a)
-    return (v * np.clip(w, 0.0, None)) @ v.T
-
-
-def toeplitz_covariance(rho: float, dim: int) -> np.ndarray:
-    """Symmetric Toeplitz covariance with entries rho^{|i-j|}."""
-    if not -1.0 <= rho <= 1.0:
-        raise ValueError(f"rho must lie in [-1, 1], got {rho}")
-    if dim < 1:
-        raise ValueError(f"dim must be positive, got {dim}")
-    return toeplitz(float(rho) ** np.arange(dim))
+    return (v * np.clip(w, 0.0, None)[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
 def psd_factor(cov: np.ndarray) -> np.ndarray:

@@ -84,8 +84,9 @@ def kl_ensemble(
     test_covariates: np.ndarray,
 ) -> float:
     """Mean Bernoulli KL between the produced ensemble's predictions and the
-    reference's, ``ensemble_predict(reference_samples, test_covariates)``,
-    which a caller scoring several sample sets computes once."""
+    reference's test prediction, which a caller scoring several sample sets
+    computes once: ``ensemble_predict`` over the reference's draws, or over
+    its quadrature nodes with their weights."""
     u = np.atleast_2d(np.asarray(test_covariates, dtype=float))
     if u.shape[0] < 1:
         raise ValueError("need at least one test covariate")

@@ -9,7 +9,7 @@ conjugate given the latents.  Every chain starts at its shard's posterior
 mode, found by Newton steps (``probit_mode``).  A whole data set's posterior,
 the reference the schemes are scored against, is also given by adaptive
 Gauss-Hermite quadrature at that mode (``probit_quadrature``), which has no
-Monte Carlo noise and states its own error.  A ``ProbitShard`` is a
+Monte Carlo noise and reports the step between its last two grids.  A ``ProbitShard`` is a
 ``LabeledDataset``, which holds the data checks, plus its prior variance.
 
 Each family's log-joint gradient and value are callbacks built by one
@@ -315,7 +315,9 @@ def probit_quadrature(shard: ProbitShard) -> tuple[np.ndarray, np.ndarray, float
     the Laplace density up to a constant, normalised.  p starts at 2 and rises
     until two successive grids' second moments differ by a ``moment_error``
     below ``_QUAD_RTOL``; the finer grid is returned as (nodes (n, d),
-    weights (n,), that difference).  None when the next grid would have more
+    weights (n,), that difference).  The difference is a step, not an error
+    bound: the finer grid can sit several times farther than it from a
+    converged one.  None when the next grid would have more
     than ``_QUAD_MAX_NODES`` nodes: a large d, or a posterior far from its
     Laplace approximation, such as a small or near-separable shard's.
     """

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import sqrtm
 
 from wcmc import aggregators, channel
-from wcmc.matops import sample_mvn, toeplitz_covariance
+from wcmc.harness.data import toeplitz_covariance
+from wcmc.matops import positive_part, sample_mvn, symmetrize
 
 
 def random_pd(rng, d, floor=0.2):
@@ -57,18 +59,25 @@ class TestApplyWeights:
         np.testing.assert_allclose(aggregators.apply_weights(w, ys), ys[:, 0] @ w[0].T, atol=1e-12)
 
 
+def unit_power_fit(decoded):
+    """The rule told N0 = 0 on K unit-power receivers of unrepeated signals:
+    the classical consensus weights on those signals."""
+    k = decoded.shape[1]
+    return aggregators.gcmc_weights(decoded, [1.0] * k, k, 0.0)
+
+
 class TestGcmcWeights:
     def test_single_worker_identity(self):
         rng = np.random.default_rng(2)
         decoded = rng.standard_normal((40, 1, 3))
-        ws = aggregators.gcmc_weights(decoded)
+        ws = unit_power_fit(decoded)
         np.testing.assert_allclose(ws[0], np.eye(3), atol=1e-9)
 
     def test_equal_covariances_split_evenly(self):
         rng = np.random.default_rng(3)
         base = rng.standard_normal((200, 2))
         decoded = np.stack([base, base.copy()], axis=1)
-        ws = aggregators.gcmc_weights(decoded)
+        ws = unit_power_fit(decoded)
         np.testing.assert_allclose(ws[0], np.eye(2) / 2, atol=1e-9)
         np.testing.assert_allclose(ws[1], np.eye(2) / 2, atol=1e-9)
 
@@ -81,7 +90,7 @@ class TestGcmcWeights:
             np.cov(base.T, bias=False))).T  # exactly whitened
         diags = [np.diag([1.0, 2.0]), np.diag([2.0, 1.0]), np.diag([1.0, 1.0])]
         decoded = np.stack([base @ np.sqrt(d) for d in diags], axis=1)
-        ws = aggregators.gcmc_weights(decoded)
+        ws = unit_power_fit(decoded)
         precisions = [np.linalg.inv(d) for d in diags]
         combined = np.linalg.inv(sum(precisions))
         for k, p in enumerate(precisions):
@@ -91,8 +100,25 @@ class TestGcmcWeights:
         rng = np.random.default_rng(5)
         for _ in range(10):
             decoded = rng.standard_normal((30, 4, 3))
-            ws = aggregators.gcmc_weights(decoded)
+            ws = unit_power_fit(decoded)
             np.testing.assert_allclose(ws.sum(axis=0), np.eye(3), atol=1e-9)
+
+    def test_noiseless_rule_is_the_decoded_product_rule(self):
+        # Told N0 = 0, the rule on received blocks is the product rule fitted
+        # on the decoded signals E_k^+ y_k, composed with the decoders.
+        rng = np.random.default_rng(8)
+        k, d, reps, s = 3, 4, 2, 60
+        scales = [0.4, 1.0, 2.3]
+        encs = channel.oma_encodings(scales, d, reps)
+        thetas = rng.standard_normal((s, k, d)) @ np.diag([1.0, 0.5, 2.0, 1.5])
+        ys = channel.transmit(thetas, encs, 0.2, rng)
+        decoded = np.stack([e.decode(ys[:, j]) for j, e in enumerate(encs)], axis=1)
+        precisions, combined = aggregators.gaussian_product(
+            aggregators.empirical_covariance(decoded)
+        )
+        expected = np.stack([combined @ c @ e.decode_matrix() for c, e in zip(precisions, encs)])
+        ws = aggregators.gcmc_weights(ys, scales, k, 0.0, reps=2)
+        assert np.abs(ws - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 class TestWgcmcExactIdentities:
@@ -121,6 +147,35 @@ class TestWgcmcExactIdentities:
             lhs = w @ (k * min_p * cov0 + n0 * np.eye(d)) @ w.T
             assert np.abs(lhs - cov0 / k).max() < 1e-8
 
+    def test_shared_receivers_distribution_match(self):
+        # m = K/R workers per receiver, neither OMA nor NOMA: the output law
+        # sum_r W_r (m P_r C_r + N0 I) W_r^T is (m sum_r C_r^{-1})^{-1}
+        rng = np.random.default_rng(14)
+        for m, r in ((2, 3), (3, 2), (4, 1)):
+            d = 3
+            covs = np.stack([random_pd(rng, d) for _ in range(r)])
+            p = rng.uniform(0.2, 3.0, size=r)
+            w = aggregators.gcmc_weights_exact(covs, p, 0.4, m * r)
+            lhs = sum(w[j] @ (m * p[j] * covs[j] + 0.4 * np.eye(d)) @ w[j].T for j in range(r))
+            rhs = np.linalg.inv(m * sum(np.linalg.inv(c) for c in covs))
+            assert np.abs(lhs - rhs).max() < 1e-8
+
+    def test_one_receiver_is_the_noma_closed_form(self):
+        # R = 1: W = K^{-1/2} C_0^{1/2} (K P C_0 + N0 I)^{-1/2}
+        rng = np.random.default_rng(15)
+        k, d, p, n0 = 5, 4, 0.7, 0.3
+        cov0 = random_pd(rng, d)
+        root = sqrtm(cov0).real @ np.linalg.inv(sqrtm(k * p * cov0 + n0 * np.eye(d)).real)
+        w = aggregators.gcmc_weights_exact(cov0[None], [p], n0, k)
+        np.testing.assert_allclose(w[0], root / np.sqrt(k), rtol=1e-10, atol=1e-12)
+
+    def test_receivers_must_share_the_workers_evenly(self):
+        covs = np.stack([np.eye(2)] * 2)
+        with pytest.raises(ValueError, match="evenly"):
+            aggregators.gcmc_weights_exact(covs, [1.0, 1.0], 0.1, 3)
+        with pytest.raises(ValueError, match="one power scale per receiver"):
+            aggregators.gcmc_weights_exact(covs, [1.0], 0.1, 2)
+
     def test_noma_hand_case(self):
         # K=1, C=I, P=1, N0=1: W = I/sqrt(2) and the output covariance is C.
         w = aggregators.wgcmc_noma_weight_exact(np.eye(2), 1, 1.0, 1.0)
@@ -129,18 +184,11 @@ class TestWgcmcExactIdentities:
 
 
 class TestWgcmcEstimated:
-    def test_noiseless_unit_power_reduces_to_gcmc(self):
-        rng = np.random.default_rng(8)
-        ys = rng.standard_normal((60, 3, 4))
-        ws_wgcmc = aggregators.wgcmc_oma(ys, [1.0, 1.0, 1.0], n0=0.0)
-        ws_gcmc = aggregators.gcmc_weights(ys)
-        np.testing.assert_allclose(ws_wgcmc, ws_gcmc, atol=1e-8)
-
     def test_covariance_estimates_are_psd(self):
         # Strong noise subtraction forces the PSD projection to engage.
         rng = np.random.default_rng(9)
         ys = 0.1 * rng.standard_normal((30, 2, 3))
-        ws = aggregators.wgcmc_oma(ys, [1.0, 1.0], n0=1.0)
+        ws = aggregators.gcmc_weights(ys, [1.0, 1.0], 2, n0=1.0)
         assert np.isfinite(ws).all()
 
     def test_noma_sample_covariance_converges(self):
@@ -156,7 +204,7 @@ class TestWgcmcEstimated:
         enc = channel.RepetitionEncoding(d, 1, min_p)
         n0 = 0.3
         ys = channel.transmit(thetas, [enc], n0, rng)
-        ws = aggregators.wgcmc_noma(ys, k, min_p, n0)
+        ws = aggregators.gcmc_weights(ys, [min_p], k, n0)
         assert ws.shape == (1, d, d)
         out = aggregators.apply_weights(ws, ys)
         target = cov0 / k
@@ -172,28 +220,53 @@ class TestWgcmcEstimated:
         enc = channel.oma_encodings([1.3], d, reps=2)
         n0 = 0.5
         ys = channel.transmit(thetas, enc, n0, rng)
-        ws_full = aggregators.wgcmc_oma(ys, [1.3], n0, reps=2)
+        ws_full = aggregators.gcmc_weights(ys, [1.3], 1, n0, reps=2)
         folded = 0.5 * (ys[:, :, :d] + ys[:, :, d:])
-        ws_sq = aggregators.wgcmc_oma(folded, [1.3], n0 / 2, reps=1)
+        ws_sq = aggregators.gcmc_weights(folded, [1.3], 1, n0 / 2, reps=1)
         out_full = aggregators.apply_weights(ws_full, ys)
         out_sq = aggregators.apply_weights(ws_sq, folded)
         np.testing.assert_allclose(out_full, out_sq, atol=1e-10)
 
-    def test_one_worker_rules_agree(self):
-        # K = 1 on one receiver: the OMA product of one subposterior and the
-        # NOMA rescaling of it are the same weight, C^{1/2} (P C + N0 I)^{-1/2}
-        rng = np.random.default_rng(13)
-        ys = rng.standard_normal((400, 1, 6)) @ np.diag([1.0, 0.5, 2.0, 1.0, 0.5, 2.0])
-        oma = aggregators.wgcmc_oma(ys, [0.6], 0.2, reps=2)
-        noma = aggregators.wgcmc_noma(ys, 1, 0.6, 0.2, reps=2)
-        np.testing.assert_allclose(oma, noma, rtol=1e-9, atol=1e-12)
-
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
-            aggregators.wgcmc_oma(np.zeros((1, 2, 3)), [1.0, 1.0], 0.1)
+            aggregators.gcmc_weights(np.zeros((1, 2, 3)), [1.0, 1.0], 2, 0.1)
 
     def test_noma_needs_one_receiver(self):
-        with pytest.raises(ValueError, match="1, m_r"):
-            aggregators.wgcmc_noma(np.ones((10, 3)), 2, 1.0, 0.1)
-        with pytest.raises(ValueError, match="1, m_r"):
-            aggregators.wgcmc_noma(np.ones((10, 2, 3)), 2, 1.0, 0.1)
+        # one power scale: the blocks must be one receiver's
+        with pytest.raises(ValueError, match="R=1, m_r"):
+            aggregators.gcmc_weights(np.ones((10, 3)), [1.0], 2, 0.1)
+        with pytest.raises(ValueError, match="R=1, m_r"):
+            aggregators.gcmc_weights(np.ones((10, 2, 3)), [1.0], 2, 0.1)
+
+
+def loop_ridged(a):
+    """The ridge policy on one matrix."""
+    a = symmetrize(a)
+    lam = aggregators.RIDGE_RTOL * np.trace(a) / a.shape[0]
+    if np.linalg.eigvalsh(a)[0] <= lam or lam <= 0.0:
+        return a + (lam if lam > 0 else aggregators.RIDGE_RTOL) * np.eye(a.shape[0])
+    return a
+
+
+class TestStackedMatchesLoop:
+    """The stacked product rule and spectral map against per-matrix loops."""
+
+    @pytest.mark.parametrize("r, d", [(1, 3), (6, 5), (20, 2)])
+    def test_same_bits(self, r, d):
+        rng = np.random.default_rng(60 + r)
+        for n0 in (0.0, 0.5):
+            # estimated covariances, some with directions clipped to 0
+            signal = aggregators.empirical_covariance(rng.standard_normal((40, r, d)))
+            covs = positive_part(signal - n0 * np.eye(d))
+            precisions, combined = aggregators.gaussian_product(covs)
+            loop = np.stack([symmetrize(np.linalg.inv(loop_ridged(c))) for c in covs])
+            np.testing.assert_array_equal(precisions, loop)
+            np.testing.assert_array_equal(
+                combined, symmetrize(np.linalg.inv(loop_ridged(loop.sum(axis=0))))
+            )
+            p = rng.uniform(0.2, 2.0, size=r)
+            spectral = aggregators._spectral(covs, lambda w: 1.0 / np.sqrt(w * (p[:, None] * w + n0)))
+            for c, pj, got in zip(covs, p, spectral):
+                w, v = np.linalg.eigh(loop_ridged(c))
+                w = np.clip(w, np.finfo(float).tiny, None)
+                np.testing.assert_array_equal(got, (v * (1.0 / np.sqrt(w * (pj * w + n0)))) @ v.T)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wcmc import matops
+from wcmc.harness.data import toeplitz_covariance
 
 
 def random_psd(rng, d, min_eig=0.0):
@@ -40,23 +41,33 @@ class TestPositivePart:
         with pytest.raises(ValueError):
             matops.positive_part(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    def test_stack_is_projected_one_matrix_at_a_time(self):
+        rng = np.random.default_rng(3)
+        stack = matops.symmetrize(rng.standard_normal((4, 3, 3)))
+        got = matops.positive_part(stack)
+        for a, g in zip(stack, got):
+            np.testing.assert_array_equal(g, matops.positive_part(a))
+        stack[2, 0, 1] += 1.0
+        with pytest.raises(ValueError, match="symmetric"):
+            matops.positive_part(stack)
+
 
 class TestToeplitzCovariance:
     def test_zero_rho_is_identity(self):
-        np.testing.assert_allclose(matops.toeplitz_covariance(0.0, 5), np.eye(5))
+        np.testing.assert_allclose(toeplitz_covariance(0.0, 5), np.eye(5))
 
     def test_direct_formula(self):
         expected = np.array([[1.0, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 1.0]])
-        np.testing.assert_allclose(matops.toeplitz_covariance(0.5, 3), expected)
+        np.testing.assert_allclose(toeplitz_covariance(0.5, 3), expected)
 
     def test_eigenvalues_nonnegative(self):
         for rho in (-0.95, -0.5, 0.3, 0.9, 0.99):
-            w = np.linalg.eigvalsh(matops.toeplitz_covariance(rho, 5))
+            w = np.linalg.eigvalsh(toeplitz_covariance(rho, 5))
             assert w.min() > -1e-12
 
     def test_rho_out_of_range(self):
         with pytest.raises(ValueError):
-            matops.toeplitz_covariance(1.5, 3)
+            toeplitz_covariance(1.5, 3)
 
 
 class TestSampleMvn:

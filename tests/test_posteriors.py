@@ -6,7 +6,7 @@ from scipy import stats
 from scipy.special import log_ndtr, ndtr
 
 from wcmc import aggregators, metrics, posteriors
-from wcmc.matops import toeplitz_covariance
+from wcmc.harness.data import toeplitz_covariance
 
 
 def finite_difference(fun, x, h=1e-5):
