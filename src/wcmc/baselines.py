@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,21 +49,23 @@ def sgld_run(
     and injects Gaussian noise whose variance equals the step size; the first
     ``burn_in`` iterates are discarded.  ``joint_grad`` follows the shared
     callback convention (stack of samples plus optional minibatch indices).
+    The step sizes and their square roots are computed before the first
+    iteration; each iteration draws its minibatch, then its noise.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     d = theta.shape[0]
     nb = schedule.minibatch_size
     if nb is not None and (n_data is None or not 1 <= nb <= n_data):
         raise ValueError("minibatch_size must lie in [1, n_data]")
+    minibatch = nb is not None and nb < n_data
+    steps = [schedule.step_size(t) for t in range(1, schedule.n_iterations + 1)]
+    roots = [math.sqrt(eta) for eta in steps]
     kept = np.empty((schedule.n_iterations - schedule.burn_in, d))
-    for t in range(1, schedule.n_iterations + 1):
-        idx = None
-        if nb is not None and nb < n_data:
-            idx = rng.choice(n_data, size=nb, replace=False)
-        eta = schedule.step_size(t)
+    for t, eta, root in zip(range(1, schedule.n_iterations + 1), steps, roots):
+        idx = rng.choice(n_data, size=nb, replace=False) if minibatch else None
         grad = np.asarray(joint_grad(theta[None, :], idx), dtype=float)[0]
-        theta = theta + 0.5 * eta * grad + np.sqrt(eta) * rng.standard_normal(d)
-        if not np.all(np.isfinite(theta)):
+        theta = theta + 0.5 * eta * grad + root * rng.standard_normal(d)
+        if not np.isfinite(theta).all():
             raise RuntimeError(
                 f"SGLD diverged at iteration {t} (step size {eta:.3e}); "
                 "reduce alpha or check the gradient scale"

@@ -17,12 +17,20 @@ factory (``gaussian_joint_grad_fn``, ``probit_joint_grad_fn`` and their
 ``*_log_joint_fn`` pairs), which the weight optimizer and the SGLD baseline
 call with samples and optional minibatch indices.  The probit factories
 check the data and prior variance once, when they are built.
+
+Every probit kernel (the gradient and log-joint callbacks, the Newton system
+and the Gibbs sweep) reads the signed covariates s_n u_n with s_n = 2 v_n - 1
+(``LabeledDataset.signed_covariates``), built once per shard or callback.
+Row n's likelihood is then Phi(t_n) at its signed margin t_n = s_n u_n^T
+theta, so a call gathers no labels and applies no signs.  A sign flip is
+exact, so the results are bit for bit those of the label-sign form.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import erfcx, log_ndtr, ndtr, ndtri, ndtri_exp, roots_hermitenorm
@@ -115,6 +123,12 @@ class LabeledDataset:
     def dim(self) -> int:
         return self.covariates.shape[1]
 
+    @cached_property
+    def signed_covariates(self) -> np.ndarray:
+        """Rows s_n u_n with s_n = 2 v_n - 1, so that label 1 sits on the positive
+        side of every margin s_n u_n^T theta; a sign flip is exact."""
+        return (2.0 * self.labels - 1.0)[:, None] * self.covariates
+
 
 @dataclass(frozen=True)
 class ProbitShard(LabeledDataset):
@@ -137,22 +151,25 @@ class ProbitShard(LabeledDataset):
 # ---------------------------------------------------------------------------
 
 
-def _probit_scores(margins: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """d/dt log p(v | t) for probit margins t: s phi(s t) / Phi(s t), s = 2v - 1.
+def _probit_scores(margins: np.ndarray) -> np.ndarray:
+    """d/dt log Phi(t) = phi(t) / Phi(t) at signed margins t, computed in place.
 
-    With Phi(x) = erfc(-x / sqrt 2) / 2 the Gaussian factors cancel, leaving
-    s sqrt(2 / pi) / erfcx(-s t / sqrt 2).  The scaled complementary error
+    With Phi(t) = erfc(-t / sqrt 2) / 2 the Gaussian factors cancel, leaving
+    sqrt(2 / pi) / erfcx(-t / sqrt 2).  The scaled complementary error
     function stays finite deep in the lower tail, where the textbook ratio
     overflows, and tends to infinity in the upper one, where the score
-    underflows to 0.
+    underflows to 0.  ``margins`` must be a float array; it is overwritten
+    with the scores and returned.
     """
-    signs = 2.0 * np.asarray(labels, dtype=float) - 1.0
-    st = signs * np.asarray(margins, dtype=float)
-    return signs * _SQRT_2_OVER_PI / erfcx(-_SQRT_HALF * st)
+    margins *= -_SQRT_HALF
+    erfcx(margins, out=margins)
+    return np.divide(_SQRT_2_OVER_PI, margins, out=margins)
 
 
 # callback factories; each closure maps a sample (d,) or a stack (S, d) and
 # optional minibatch indices to per-sample gradients or log-joint values.
+# The probit ones read the shard's signed covariates, so a row's margin is
+# already on its label's side and no label is gathered per call.
 
 
 def probit_joint_grad_fn(covariates: np.ndarray, labels: np.ndarray, sigma2: float):
@@ -162,16 +179,18 @@ def probit_joint_grad_fn(covariates: np.ndarray, labels: np.ndarray, sigma2: flo
     likelihood gradients of minibatch ``idx`` (all N rows when None).
     """
     shard = ProbitShard(covariates, labels, sigma2)
-    u, v, n = shard.covariates, shard.labels, shard.size
+    w, n = shard.signed_covariates, shard.size
 
     def grad(thetas: np.ndarray, idx=None) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
-        ub, vb = (u, v) if idx is None else (u[idx], v[idx])
-        if ub.shape[0] < 1:
+        wb = w if idx is None else w.take(idx, axis=0)
+        if wb.shape[0] < 1:
             raise ValueError("minibatch must be non-empty")
         stack = np.atleast_2d(thetas)
-        scores = _probit_scores(stack @ ub.T, vb)  # (S, N_b)
-        grads = -stack / sigma2 + (n / ub.shape[0]) * scores @ ub
+        scores = _probit_scores(stack @ wb.T)  # (S, N_b)
+        if idx is not None:  # N / N_b is 1 on the full batch
+            scores *= n / wb.shape[0]
+        grads = -stack / sigma2 + scores @ wb
         return grads[0] if thetas.ndim == 1 else grads
 
     return grad
@@ -179,15 +198,14 @@ def probit_joint_grad_fn(covariates: np.ndarray, labels: np.ndarray, sigma2: flo
 
 def probit_log_joint_fn(covariates: np.ndarray, labels: np.ndarray, sigma2: float):
     shard = ProbitShard(covariates, labels, sigma2)
-    u, signs, n = shard.covariates, 2.0 * shard.labels - 1.0, shard.size
+    w, n = shard.signed_covariates, shard.size
     const = -0.5 * shard.dim * np.log(2.0 * np.pi * sigma2)
 
     def value(thetas: np.ndarray, idx=None) -> np.ndarray:
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        ub, sb = (u, signs) if idx is None else (u[idx], signs[idx])
-        margins = thetas @ ub.T
-        margins *= sb
-        loglik = log_ndtr(margins, out=margins).sum(axis=1) * (n / ub.shape[0])
+        wb = w if idx is None else w.take(idx, axis=0)
+        margins = thetas @ wb.T
+        loglik = log_ndtr(margins, out=margins).sum(axis=1) * (n / wb.shape[0])
         return const - 0.5 * np.sum(thetas**2, axis=1) / sigma2 + loglik
 
     return value
@@ -261,10 +279,15 @@ def sample_truncated_normal(
     mean = np.asarray(mean, dtype=float)
     scalar = mean.ndim == 0
     mean = np.atleast_1d(mean)
-    signs = np.where(np.broadcast_to(positive, mean.shape), 1.0, -1.0)
-    # X ~ N(m,1) | X > 0 is s * (Z | Z > -s m) + s m with s = sign of the kept side.
-    z = _truncated_std_normal_above(-signs * mean, rng)
-    draws = signs * (z + signs * mean)
+    # X ~ N(m,1) | X > 0 is s * (Z | Z > -s m) + s m with s = sign of the kept
+    # side, and s (Z + s m) is s Z + m to the bit, since a sign flip commutes
+    # with rounding.  The Gibbs sweep keeps every positive side: no sign array.
+    if positive is True:
+        draws = _truncated_std_normal_above(-mean, rng)
+    else:
+        signs = np.where(np.broadcast_to(positive, mean.shape), 1.0, -1.0)
+        draws = signs * _truncated_std_normal_above(-signs * mean, rng)
+    draws += mean
     return float(draws[0]) if scalar else draws
 
 
@@ -274,14 +297,14 @@ def sample_truncated_normal(
 
 
 def _newton_system(shard: ProbitShard, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The log posterior's gradient and negative Hessian U^T C U + I / sigma^2
-    at theta, with C = diag(lambda (lambda + t)) for probit scores lambda at
-    margins t."""
-    u, sigma2 = shard.covariates, shard.prior_variance
-    margins = u @ theta
-    scores = _probit_scores(margins, shard.labels)
-    hess = (u.T * (scores * (scores + margins))) @ u + np.eye(shard.dim) / sigma2
-    return scores @ u - theta / sigma2, hess
+    """The log posterior's gradient and negative Hessian W^T C W + I / sigma^2
+    at theta, with W the signed covariates and C = diag(lambda (lambda + t))
+    for probit scores lambda at signed margins t = W theta."""
+    w, sigma2 = shard.signed_covariates, shard.prior_variance
+    margins = w @ theta
+    scores = _probit_scores(margins.copy())
+    hess = (w.T * (scores * (scores + margins))) @ w + np.eye(shard.dim) / sigma2
+    return scores @ w - theta / sigma2, hess
 
 
 def probit_mode(shard: ProbitShard) -> np.ndarray:
@@ -369,25 +392,26 @@ def gibbs_probit_sampler(
     Starts at the shard's posterior mode (``probit_mode``), runs
     ``burn_in + n_samples`` sweeps and returns the last ``n_samples``
     coefficient draws, shape (n_samples, d).  Each sweep resamples every
-    latent from its truncated Gaussian (positive side for label 1, negative
-    for label 0) and then the coefficients from their Gaussian conditional,
-    whose covariance is constant across sweeps and factored once.
+    latent from its truncated Gaussian and then the coefficients from their
+    Gaussian conditional, whose covariance is constant across sweeps and
+    factored once.  The latents are those of the signed covariates s_n u_n,
+    so every one is drawn on the positive side of its signed margin; each is
+    s_n times the latent of u_n, which lies on the negative side for label 0.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     if burn_in < 0:
         raise ValueError(f"burn_in must be non-negative, got {burn_in}")
-    u, v = shard.covariates, shard.labels
+    w = shard.signed_covariates
     cov = _gibbs_coefficient_cov(shard)
     factor = psd_factor(cov)
-    positive = v == 1
 
     theta = probit_mode(shard)
     out = np.empty((n_samples, shard.dim))
     for sweep in range(burn_in + n_samples):
-        latents = sample_truncated_normal(u @ theta, rng, positive=positive)
+        latents = sample_truncated_normal(w @ theta, rng)
         noise = factor @ rng.standard_normal(shard.dim)
-        theta = cov @ (u.T @ latents) + noise
+        theta = cov @ (w.T @ latents) + noise
         if sweep >= burn_in:
             out[sweep - burn_in] = theta
     return out

@@ -153,6 +153,7 @@ def _regular(w: np.ndarray, e: np.ndarray) -> bool:
 class WvcmcResult:
     weights: np.ndarray  # (R, d, m_r)
     samples: np.ndarray
+    halvings: int  # rejected step sizes, summed over the iterations
 
 
 def run_wvcmc(
@@ -177,7 +178,8 @@ def run_wvcmc(
     ``init`` that fails the same check raises ``ValueError`` before the
     first gradient, so every gradient is taken at a checked point.  The
     bound's value is never evaluated: only its gradient moves the weights.
-    Returns the final weights and their aggregation of all S blocks.
+    Returns the final weights, their aggregation of all S blocks and the
+    number of rejected step sizes.
     """
     enc = _stack_encodings(encodings)
     if minibatch_size is not None and (n_data is None or not 1 <= minibatch_size <= n_data):
@@ -186,6 +188,7 @@ def run_wvcmc(
     weights = np.asarray(init, dtype=float)
     if not _regular(weights, enc):
         raise ValueError("init leaves some W_r E_r or W_r singular or non-finite")
+    halvings = 0
     for t in range(n_iterations):
         idx = None
         if minibatch_size is not None and minibatch_size < n_data:
@@ -198,10 +201,11 @@ def run_wvcmc(
                 weights = candidate
                 break
             step *= 0.5
+            halvings += 1
         else:
             raise RuntimeError(
                 f"every step size in [{2 * step}, {step_size}] leaves some W_r E_r or W_r "
                 f"singular or non-finite at iteration {t + 1}"
             )
 
-    return WvcmcResult(weights=weights, samples=apply_weights(weights, ys))
+    return WvcmcResult(weights=weights, samples=apply_weights(weights, ys), halvings=halvings)

@@ -10,8 +10,14 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-# 04 and 05 run the probit pipeline at full scale, a minute or more each
-DEMOS = ["01_weight_identities.py", "02_error_vs_blocks.py", "03_error_vs_snr.py"]
+# 04 and 05 run the probit pipeline at full scale: about 7 s and 15 s on 2 CPUs
+DEMOS = [
+    "01_weight_identities.py",
+    "02_error_vs_blocks.py",
+    "03_error_vs_snr.py",
+    "04_probit_pipeline.py",
+    "05_gradient_budgets.py",
+]
 
 
 @pytest.mark.parametrize("name", DEMOS)

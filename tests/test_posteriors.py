@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import log_ndtr, ndtr
+from scipy.special import erfcx, log_ndtr, ndtr
 
 from wcmc import aggregators, metrics, posteriors
+from wcmc.matops import psd_factor
 from wcmc.harness.data import toeplitz_covariance
 
 
@@ -61,6 +62,13 @@ def prior_grad(theta, sigma2):
     return posteriors.probit_joint_grad_fn(np.zeros((1, len(theta))), [1], sigma2)(theta)
 
 
+def label_score(margin, label):
+    """The score s phi(s t) / Phi(s t) of margin t under label v, s = 2v - 1,
+    from the kernel's score of the signed margin s t."""
+    s = 2.0 * np.asarray(label, dtype=float) - 1.0
+    return s * posteriors._probit_scores(np.array(s * margin, dtype=float))
+
+
 def loglik_grad(theta, u, v):
     """Probit log-likelihood gradient of one observation (u, v).
 
@@ -110,8 +118,15 @@ class TestProbitGradients:
             s = 2.0 * label - 1.0
             log_ratio = -0.5 * margins**2 - 0.5 * np.log(2 * np.pi) - log_ndtr(s * margins)
             expected = s * np.exp(log_ratio)
-            scores = posteriors._probit_scores(margins, np.full(margins.shape, label))
+            scores = s * posteriors._probit_scores(s * margins)
             np.testing.assert_allclose(scores, expected, rtol=1e-12, atol=0)
+
+    def test_scores_overwrite_the_margins(self):
+        margins = np.array([-3.0, 0.0, 2.5])
+        expected = np.exp(-0.5 * margins**2 - 0.5 * np.log(2 * np.pi) - log_ndtr(margins))
+        scores = posteriors._probit_scores(margins)
+        assert scores is margins
+        np.testing.assert_allclose(scores, expected, rtol=1e-12)
 
 
 class TestPriorAndJointGrad:
@@ -132,9 +147,7 @@ class TestPriorAndJointGrad:
         thetas = rng.standard_normal((4, 3))
         grad = posteriors.probit_joint_grad_fn(u, v, 1.0)
         for theta, row in zip(thetas, grad(thetas)):
-            manual = -theta + sum(
-                posteriors._probit_scores(u[i] @ theta, v[i]) * u[i] for i in range(10)
-            )
+            manual = -theta + sum(label_score(u[i] @ theta, v[i]) * u[i] for i in range(10))
             np.testing.assert_allclose(row, manual, atol=1e-10)
             np.testing.assert_allclose(grad(theta), manual, atol=1e-10)
 
@@ -186,6 +199,91 @@ class TestPriorAndJointGrad:
         grad_fn = posteriors.gaussian_joint_grad_fn(np.eye(3))
         thetas = np.array([[1.0, -2.0, 0.5]])
         np.testing.assert_allclose(grad_fn(thetas), -thetas)
+
+
+def label_form_scores(margins, labels):
+    """The score as it was written on unsigned margins with a per-row label sign."""
+    signs = 2.0 * np.asarray(labels, dtype=float) - 1.0
+    st = signs * np.asarray(margins, dtype=float)
+    return signs * np.sqrt(2.0 / np.pi) / erfcx(-np.sqrt(0.5) * st)
+
+
+class TestSignedCovariatesKeepTheBits:
+    """Every probit kernel on the signed covariates s_n u_n against the same
+    kernel written on u_n with the label signs applied per call: a sign flip
+    is exact and the matmul shapes are the same, so the bits must match."""
+
+    @staticmethod
+    def _data(n=2000, d=5, seed=40):
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal((n, d))
+        truth = np.array([0.1103, -0.5832, 0.6417, 1.8279, 0.4968])[:d]
+        v = (rng.uniform(size=n) < ndtr(u @ truth)).astype(int)
+        return rng, u, v, truth
+
+    def test_signed_covariates_are_the_label_signs_times_the_rows(self):
+        _, u, v, _ = self._data(n=50)
+        data = posteriors.LabeledDataset(u, v)
+        np.testing.assert_array_equal(data.signed_covariates, np.where(v[:, None] == 1, u, -u))
+        assert data.signed_covariates is data.signed_covariates
+
+    def test_full_batch_and_minibatch_gradients(self):
+        rng, u, v, truth = self._data()
+        n, sigma2 = u.shape[0], 20.0
+        grad = posteriors.probit_joint_grad_fn(u, v, sigma2)
+        stack = truth + 0.3 * rng.standard_normal((50, 5))
+        for idx in (None, rng.choice(n, size=500, replace=False)):
+            ub, vb = (u, v) if idx is None else (u[idx], v[idx])
+            for thetas in (stack, stack[:1], stack[0]):
+                rows = np.atleast_2d(thetas)
+                scores = label_form_scores(rows @ ub.T, vb)
+                expected = -rows / sigma2 + (n / ub.shape[0]) * scores @ ub
+                got = grad(thetas, idx)
+                assert got.shape == np.shape(thetas)
+                np.testing.assert_array_equal(np.atleast_2d(got), expected)
+
+    def test_log_joint(self):
+        rng, u, v, truth = self._data()
+        n, sigma2 = u.shape[0], 20.0
+        log_joint = posteriors.probit_log_joint_fn(u, v, sigma2)
+        stack = truth + 0.3 * rng.standard_normal((64, 5))
+        for idx in (None, rng.choice(n, size=500, replace=False)):
+            ub, sb = (u, 2.0 * v - 1.0) if idx is None else (u[idx], 2.0 * v[idx] - 1.0)
+            margins = stack @ ub.T
+            margins *= sb
+            expected = (
+                -0.5 * 5 * np.log(2.0 * np.pi * sigma2)
+                - 0.5 * np.sum(stack**2, axis=1) / sigma2
+                + log_ndtr(margins).sum(axis=1) * (n / ub.shape[0])
+            )
+            np.testing.assert_array_equal(log_joint(stack, idx), expected)
+
+    def test_newton_system(self):
+        rng, u, v, truth = self._data()
+        shard = posteriors.ProbitShard(u, v, 20.0)
+        for theta in (np.zeros(5), truth, truth + rng.standard_normal(5)):
+            margins = u @ theta
+            scores = label_form_scores(margins, v)
+            hess = (u.T * (scores * (scores + margins))) @ u + np.eye(5) / 20.0
+            grad, got = posteriors._newton_system(shard, theta)
+            np.testing.assert_array_equal(grad, scores @ u - theta / 20.0)
+            np.testing.assert_array_equal(got, hess)
+
+    def test_thirty_gibbs_sweeps(self):
+        _, u, v, _ = self._data(n=425)
+        shard = posteriors.ProbitShard(u, v, 20.0)
+        draws = posteriors.gibbs_probit_sampler(shard, 30, np.random.default_rng(41), burn_in=0)
+        cov = posteriors._gibbs_coefficient_cov(shard)
+        factor = psd_factor(cov)
+        rng = np.random.default_rng(41)
+        theta = posteriors.probit_mode(shard)
+        expected = []
+        for _ in range(30):
+            latents = posteriors.sample_truncated_normal(u @ theta, rng, positive=v == 1)
+            noise = factor @ rng.standard_normal(5)
+            theta = cov @ (u.T @ latents) + noise
+            expected.append(theta)
+        np.testing.assert_array_equal(draws, expected)
 
 
 class TestTruncatedNormal:

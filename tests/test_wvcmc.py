@@ -377,6 +377,7 @@ class TestRunWvcmc:
         )
         np.testing.assert_array_equal(result.weights, init)
         np.testing.assert_allclose(result.samples, apply_weights(init, ys))
+        assert result.halvings == 0
 
     def test_fixed_seed_trajectory_identical(self):
         rng = np.random.default_rng(7)
@@ -461,6 +462,19 @@ class TestRunWvcmc:
             step_size=0.5, n_iterations=1, rng=np.random.default_rng(0),
         )
         np.testing.assert_array_equal(result.weights, [[[0.5]]])
+        assert result.halvings == 1
+
+    def test_halvings_are_summed_over_the_iterations(self):
+        # The same set-up over two iterations: the first step is halved once
+        # to W = 0.5; from there the direction is 3 - (2 + 2) / 2 = 1 and the
+        # full step of 0.5 lands on W = 0 again, so it is halved once more.
+        const_grad = lambda thetas, idx=None: np.full_like(thetas, -3.0)
+        result = wvcmc.run_wvcmc(
+            np.ones((1, 1, 1)), np.ones((1, 1, 1)), [np.ones((1, 1))], 1, const_grad,
+            step_size=0.5, n_iterations=2, rng=np.random.default_rng(0),
+        )
+        np.testing.assert_array_equal(result.weights, [[[0.25]]])
+        assert result.halvings == 2
 
     def test_stationarity_with_entropy_term_disabled(self):
         # Without the log-det barrier the Gaussian-toy objective is a smooth
