@@ -13,7 +13,7 @@ import numpy as np
 
 from wcmc import aggregators, channel
 from wcmc.harness.data import toeplitz_covariance
-from wcmc.matops import sample_mvn
+from wcmc.posteriors import GaussianSubposterior
 
 rng = np.random.default_rng(1)
 
@@ -35,7 +35,7 @@ print(f"  superposition identity error:     {np.abs(lhs_noma - covs[1] / k).max(
 print("\nestimated weights from noisy received blocks, homogeneous workers")
 cov0 = covs[1]
 for s in (100, 1000, 10000):
-    thetas = np.stack([sample_mvn(np.zeros(d), cov0, rng, size=s) for _ in range(k)], axis=1)
+    thetas = np.stack([GaussianSubposterior(cov0).sample(rng, size=s) for _ in range(k)], axis=1)
     enc = channel.noma_encoding([min(p_scales)] * k, d)
     ys = channel.transmit(thetas, [enc], n0, rng)
     ws = aggregators.gcmc_weights(ys, [min(p_scales)], k, n0)

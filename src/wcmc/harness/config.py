@@ -220,7 +220,6 @@ class ExperimentConfig:
     data: DataParams = field(default_factory=DataParams)
     csv: CsvParams | None = None
     reference: ReferenceParams = field(default_factory=ReferenceParams)
-    gibbs_burn_in: int = 100
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -243,8 +242,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown subposteriors {self.subposteriors!r}; expected one of {GAUSSIAN_FAMILIES}"
             )
-        if self.gibbs_burn_in < 0:
-            raise ConfigError(f"gibbs_burn_in must be non-negative, got {self.gibbs_burn_in}")
         unknown = sorted(set(self.schemes) - set(SCHEMES))
         if unknown:
             raise ConfigError(f"unknown schemes {unknown}; allowed: {list(SCHEMES)}")
@@ -345,16 +342,3 @@ def read_json(path: str, what: str):
 
 def load_config(path: str) -> ExperimentConfig:
     return parse_config(read_json(path, "config"))
-
-
-def resolved_dict(config: ExperimentConfig) -> dict:
-    """Plain-JSON view of a config, with all defaults filled in."""
-
-    def convert(value):
-        if isinstance(value, dict):
-            return {k: convert(v) for k, v in value.items()}
-        if isinstance(value, tuple):
-            return [convert(v) for v in value]
-        return value
-
-    return convert(dataclasses.asdict(config))

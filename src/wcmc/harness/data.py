@@ -117,11 +117,9 @@ def partition(
     return out
 
 
-def pca_project(x: np.ndarray, dim: int) -> tuple[np.ndarray, float]:
-    """Project onto the top principal directions of the covariance eigendecomposition.
-
-    Returns the projected data and the explained-variance ratio.
-    """
+def pca_project(x: np.ndarray, dim: int) -> np.ndarray:
+    """Project centered data onto the top ``dim`` principal directions of its
+    covariance eigendecomposition."""
     x = np.asarray(x, dtype=float)
     if not 1 <= dim <= x.shape[1]:
         raise ValueError(f"PCA dimension must lie in [1, {x.shape[1]}], got {dim}")
@@ -129,8 +127,7 @@ def pca_project(x: np.ndarray, dim: int) -> tuple[np.ndarray, float]:
     cov = centered.T @ centered / max(x.shape[0] - 1, 1)
     w, v = np.linalg.eigh(cov)
     order = np.argsort(w)[::-1][:dim]
-    explained = float(w[order].sum() / max(w.sum(), np.finfo(float).tiny))
-    return centered @ v[:, order], explained
+    return centered @ v[:, order]
 
 
 def ingest_csv(
@@ -182,7 +179,7 @@ def ingest_csv(
     if pca_dim is not None and pca_dim > x.shape[1]:
         raise ValueError(f"csv.pca_dim={pca_dim} exceeds the {x.shape[1]} covariate columns of {path}")
     if pca_dim is not None and pca_dim != x.shape[1]:
-        x, _ = pca_project(x, pca_dim)
+        x = pca_project(x, pca_dim)
     return LabeledDataset(x, np.asarray(labels))
 
 

@@ -6,6 +6,7 @@ a column was appended stays readable."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ import numpy as np
 import scipy
 
 from .. import __version__
-from .config import ConfigError, ExperimentConfig, read_json, resolved_dict
+from .config import ConfigError, ExperimentConfig, read_json
 
 COLUMNS = (
     "scheme",
@@ -80,10 +81,9 @@ def _git_revision() -> str | None:
 
 def read_manifest(out_path: str) -> list:
     """The run records next to the result CSV ([] without a manifest); a manifest that
-    is neither a JSON list nor an older single-record object is a ``ConfigError``."""
+    is not a JSON list is a ``ConfigError``."""
     path = manifest_path(out_path)
     runs = read_json(path, "manifest") if os.path.exists(path) else []
-    runs = [runs] if isinstance(runs, dict) else runs
     if not isinstance(runs, list):
         raise ConfigError(f"manifest {path} is not a JSON list of runs (got {type(runs).__name__})")
     return runs
@@ -104,7 +104,7 @@ def write_manifest(out_path: str, config: ExperimentConfig, extra: dict | None =
         "blas_threads": {name: os.environ.get(name) for name in _THREAD_VARIABLES},
         "git_revision": _git_revision(),
         "master_seed": config.seed,
-        "config": resolved_dict(config),
+        "config": dataclasses.asdict(config),
         **(extra or {}),
     }
     with open(path, "w", encoding="utf-8") as fh:

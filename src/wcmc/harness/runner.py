@@ -17,13 +17,14 @@ quadrature gives up does a Gibbs chain of ``reference.n_samples`` draws after
 ``reference.burn_in`` sweeps take its place.  The reference and the workers'
 draws are cached in the process, each under what it reads (``_cache_keys``):
 the reference under the data, the prior and the ``reference`` section, the
-draws under the data, the prior, K, the partition, the burn-in and S.  Both share ``CHAIN_CACHE_BYTES``, the least recently used
-entry evicted first.  So an SNR sweep, or configs that differ only in their
-link, build each trial's world once, and a ``t``, ``k`` or ``zeta`` sweep
-computes one reference per trial.  The toy's world is closed-form plus a few
-draws, too cheap to cache.  Each ``--parallel`` pool process has its own
-cache and ``sweep`` starts a pool per point, so parallel sweep points do not
-share it.  Result files are ``results``'s.
+draws under the data, the prior, K, the partition and S.  Both share
+``CHAIN_CACHE_BYTES``, the least recently used entry evicted first.  So an
+SNR sweep, or configs that differ only in their link, build each trial's
+world once, and a ``t``, ``k`` or ``zeta`` sweep computes one reference per
+trial.  The toy's world is closed-form plus a few draws, too cheap to cache.
+Each ``--parallel`` pool process has its own cache and ``sweep`` starts a
+pool per point, so parallel sweep points do not share it.  Result files are
+``results``'s.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ def probit_world(config: ExperimentConfig, trial: int) -> World:
     )
     k_prior = config.n_workers * config.prior_variance  # each shard takes the prior^(1/K)
     shards = [ProbitShard(dataset.covariates[i], dataset.labels[i], k_prior) for i in shards_idx]
-    draw = lambda j, s, rng: gibbs_probit_sampler(shards[j], s, rng, burn_in=config.gibbs_burn_in)
+    draw = lambda j, s, rng: gibbs_probit_sampler(shards[j], s, rng)
     (draws,) = _cached(workers_key, lambda: (_worker_draws(config, trial, draw),))
     grad = probit_joint_grad_fn(dataset.covariates, dataset.labels, config.prior_variance)
     return World(draws, moment, grad, dataset.size, test_u, prediction, error)
@@ -207,7 +208,7 @@ def _cache_keys(config: ExperimentConfig, trial: int) -> tuple[tuple, tuple]:
         stat = os.stat(config.csv.path)  # which file, and which version of it
         data = (config.csv, stat.st_dev, stat.st_ino, stat.st_mtime_ns, stat.st_size)
     inputs = (config.seed, trial, config.scenario, data, config.dim, config.prior_variance)
-    workers = (config.n_workers, config.partition, config.gibbs_burn_in, _draw_count(config))
+    workers = (config.n_workers, config.partition, _draw_count(config))
     return ("reference", *inputs, config.reference), ("workers", *inputs, *workers)
 
 

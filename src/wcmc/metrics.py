@@ -58,17 +58,14 @@ def ensemble_predict(
     samples: np.ndarray, covariates: np.ndarray, weights: np.ndarray | None = None
 ) -> np.ndarray:
     """Ensemble probit prediction (1/S) sum_s Phi(theta_s^T u) per covariate
-    row, or sum_s w_s Phi(theta_s^T u) under weights that sum to one."""
+    row u of an (n, d) array, or sum_s w_s Phi(theta_s^T u) under weights that
+    sum to one."""
     thetas = np.asarray(samples, dtype=float)
-    u = np.asarray(covariates, dtype=float)
-    single = u.ndim == 1
-    margins = np.atleast_2d(u) @ thetas.T  # (n, S)
+    margins = np.asarray(covariates, dtype=float) @ thetas.T  # (n, S)
     probs = ndtr(margins, out=margins)
     if weights is None:
-        probs = probs.mean(axis=1)
-    else:
-        probs = probs @ _checked_weights(weights, thetas.shape[0])
-    return float(probs[0]) if single else probs
+        return probs.mean(axis=1)
+    return probs @ _checked_weights(weights, thetas.shape[0])
 
 
 def bernoulli_kl(p, q) -> np.ndarray:

@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import erfcx, log_ndtr, ndtr, ndtri, ndtri_exp, roots_hermitenorm
 
-from .matops import EIG_RTOL, _require_symmetric, psd_factor, sample_mvn, symmetrize
+from .matops import EIG_RTOL, _require_symmetric, psd_factor, symmetrize
 from .metrics import moment_error, second_moment
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -87,8 +87,10 @@ class GaussianSubposterior:
     def dim(self) -> int:
         return self.cov.shape[0]
 
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        return sample_mvn(np.zeros(self.dim), self.cov, rng, size=size)
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` draws, shape (size, d), as z L^T for standard normal rows z
+        and the Cholesky factor L of the covariance."""
+        return rng.standard_normal((size, self.dim)) @ psd_factor(self.cov).T
 
     def entropy(self) -> float:
         """Differential entropy (d/2) log(2 pi e) + (1/2) log det cov."""
@@ -265,30 +267,13 @@ def _truncated_std_normal_above(alpha: np.ndarray, rng: np.random.Generator) -> 
     return out
 
 
-def sample_truncated_normal(
-    mean,
-    rng: np.random.Generator,
-    positive: bool | np.ndarray = True,
-) -> np.ndarray:
-    """Draw from N(mean, 1) restricted to (0, inf) or (-inf, 0], elementwise.
-
-    One uniform per element, mapped by the inverse CDF; boundaries more
-    than ``_TAIL_CUTOFF`` standard deviations into the tail take the log-space
-    form, so deep-tail draws stay exact.
-    """
-    mean = np.asarray(mean, dtype=float)
-    scalar = mean.ndim == 0
-    mean = np.atleast_1d(mean)
-    # X ~ N(m,1) | X > 0 is s * (Z | Z > -s m) + s m with s = sign of the kept
-    # side, and s (Z + s m) is s Z + m to the bit, since a sign flip commutes
-    # with rounding.  The Gibbs sweep keeps every positive side: no sign array.
-    if positive is True:
-        draws = _truncated_std_normal_above(-mean, rng)
-    else:
-        signs = np.where(np.broadcast_to(positive, mean.shape), 1.0, -1.0)
-        draws = signs * _truncated_std_normal_above(-signs * mean, rng)
+def sample_truncated_normal(mean: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Draw from N(mean, 1) restricted to (0, inf), elementwise, as
+    (Z | Z > -mean) + mean: one uniform per element, mapped by the inverse CDF,
+    in log space past ``_TAIL_CUTOFF`` so that deep-tail draws stay exact."""
+    draws = _truncated_std_normal_above(-np.asarray(mean, dtype=float), rng)
     draws += mean
-    return float(draws[0]) if scalar else draws
+    return draws
 
 
 # ---------------------------------------------------------------------------

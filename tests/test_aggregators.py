@@ -6,7 +6,8 @@ from scipy.linalg import sqrtm
 
 from wcmc import aggregators, channel
 from wcmc.harness.data import toeplitz_covariance
-from wcmc.matops import positive_part, sample_mvn, symmetrize
+from wcmc.matops import positive_part, symmetrize
+from wcmc.posteriors import GaussianSubposterior
 
 
 def random_pd(rng, d, floor=0.2):
@@ -199,7 +200,7 @@ class TestWgcmcEstimated:
         cov0 = toeplitz_covariance(0.5, d)
         min_p = 0.8
         thetas = np.stack(
-            [sample_mvn(np.zeros(d), cov0, rng, size=s) for _ in range(k)], axis=1
+            [GaussianSubposterior(cov0).sample(rng, size=s) for _ in range(k)], axis=1
         )
         enc = channel.RepetitionEncoding(d, 1, min_p)
         n0 = 0.3

@@ -15,7 +15,9 @@ SPEC.loader.exec_module(bench_pairs)
 
 # Logs its checkout, workload, seed and trace flag, then prints a result line
 # whose trial_s is the seed's last digit plus 10 on the parent and plus 5 on
-# the change, except that the change loses pair 3.
+# the change, except that the change loses pair 3.  A traced run reports
+# wvcmc.run_s as the seed's last digit plus 2 on the parent and plus 1 on the
+# change, wvcmc.grad_s as 0, and channel.transmit_s only on seed 2.
 STUB = """\
 import json, sys
 from pathlib import Path
@@ -31,7 +33,12 @@ metrics = {
     "peak_rss_mb": {"value": 60.0 if side == "parent" else 50.0, "unit": "MB"},
 }
 if args["--trace"] == "1":
-    metrics = {"wvcmc.run_s": {"value": 2.0, "unit": "s"}, "wvcmc.grad_s": {"value": 0.0, "unit": "s"}}
+    metrics = {
+        "wvcmc.run_s": {"value": seed % 10 + (2.0 if side == "parent" else 1.0), "unit": "s"},
+        "wvcmc.grad_s": {"value": 0.0, "unit": "s"},
+    }
+    if seed % 10 == 2:
+        metrics["channel.transmit_s"] = {"value": 0.5, "unit": "s"}
 print("a line the script must skip")
 print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}))
 """
@@ -88,10 +95,21 @@ def test_main_writes_the_record(checkouts, tmp_path):
     assert set(record["workloads"]["toy-snr"]) == {
         "correct", "failed_operations", "attempted_operations", "trial_s", "setup_s", "peak_rss_mb", "pairs",
     }
-    # zero per-layer metrics are left out of the traced rounds
-    assert record["traced_round_seed_1"]["command"] == "python3 stub.py --workload W --seed 1 --seconds 2 --trace 1"
-    assert record["traced_round_seed_1"]["toy-snr"] == {"parent": {"wvcmc.run_s": 2.0}, "change": {"wvcmc.run_s": 2.0}}
-    assert (tmp_path / "calls.log").read_text().splitlines()[-2:] == ["parent toy-snr 1 1", "change toy-snr 1 1"]
+    # three traced rounds on seeds 1, 2 and 3, the sides alternating as in the pairs
+    traced = record["traced_rounds"]
+    assert traced["command"] == "python3 stub.py --workload W --seed S --seconds 2 --trace 1"
+    assert traced["seeds"] == [1, 2, 3]
+    assert (tmp_path / "calls.log").read_text().splitlines()[-6:] == [
+        "parent toy-snr 1 1", "change toy-snr 1 1",
+        "change toy-snr 2 1", "parent toy-snr 2 1",
+        "parent toy-snr 3 1", "change toy-snr 3 1",
+    ]
+    # per side, each metric's median and quartiles over the rounds; a metric that
+    # is zero in every run is left out, and one missing from a run counts as 0 there
+    assert traced["toy-snr"]["parent"]["wvcmc.run_s"] == {"median": 4.0, "q1": 3.5, "q3": 4.5, "runs": [3.0, 4.0, 5.0]}
+    assert traced["toy-snr"]["change"]["wvcmc.run_s"] == {"median": 3.0, "q1": 2.5, "q3": 3.5, "runs": [2.0, 3.0, 4.0]}
+    assert traced["toy-snr"]["change"]["channel.transmit_s"]["runs"] == [0.0, 0.5, 0.0]
+    assert set(traced["toy-snr"]["parent"]) == {"wvcmc.run_s", "channel.transmit_s"}
 
 
 def test_command_names_each_side_when_they_differ(checkouts):

@@ -70,34 +70,18 @@ class TestToeplitzCovariance:
             toeplitz_covariance(1.5, 3)
 
 
-class TestSampleMvn:
-    def test_zero_covariance_returns_mean(self):
-        rng = np.random.default_rng(6)
-        mean = np.array([1.0, -2.0])
-        draw = matops.sample_mvn(mean, np.zeros((2, 2)), rng)
-        np.testing.assert_array_equal(draw, mean)
-
-    def test_sample_covariance_converges(self):
-        rng = np.random.default_rng(7)
-        draws = matops.sample_mvn(np.zeros(2), np.eye(2), rng, size=100_000)
-        sample_cov = draws.T @ draws / draws.shape[0]
-        assert np.abs(sample_cov - np.eye(2)).max() < 0.05
-
-    def test_fixed_seed_reproducible(self):
+class TestPsdFactor:
+    def test_cholesky_factor_of_a_positive_definite_covariance(self):
         cov = random_psd(np.random.default_rng(8), 3, min_eig=0.1)
-        a = matops.sample_mvn(np.zeros(3), cov, np.random.default_rng(99), size=10)
-        b = matops.sample_mvn(np.zeros(3), cov, np.random.default_rng(99), size=10)
-        np.testing.assert_array_equal(a, b)
+        factor = matops.psd_factor(cov)
+        np.testing.assert_array_equal(factor, np.tril(factor))
+        np.testing.assert_allclose(factor @ factor.T, cov, rtol=1e-12, atol=1e-12)
 
-    def test_semidefinite_covariance_supported(self):
-        # Rank-1 covariance forces the eigen fallback.
-        cov = np.outer([1.0, 2.0], [1.0, 2.0])
-        rng = np.random.default_rng(9)
-        draws = matops.sample_mvn(np.zeros(2), cov, rng, size=1000)
-        # Every draw stays on the rank-1 line.
-        ratio = draws[:, 1] / np.where(np.abs(draws[:, 0]) > 1e-12, draws[:, 0], 1.0)
-        assert np.allclose(ratio[np.abs(draws[:, 0]) > 1e-12], 2.0, atol=1e-8)
+    def test_rank_one_covariance_raises(self):
+        # every caller passes a positive definite covariance
+        with pytest.raises(np.linalg.LinAlgError):
+            matops.psd_factor(np.outer([1.0, 2.0], [1.0, 2.0]))
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matops.sample_mvn(np.zeros(3), np.eye(2), np.random.default_rng(0))
+    def test_asymmetric_rejected(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            matops.psd_factor(np.array([[1.0, 0.5], [0.0, 1.0]]))

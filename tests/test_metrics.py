@@ -5,7 +5,7 @@ import pytest
 from scipy.special import ndtr
 
 from wcmc import metrics
-from wcmc.matops import sample_mvn
+from wcmc.posteriors import GaussianSubposterior
 
 
 class TestSecondOrderError:
@@ -23,7 +23,7 @@ class TestSecondOrderError:
     def test_exact_sampler_converges(self):
         rng = np.random.default_rng(1)
         cov = np.array([[1.0, 0.4], [0.4, 2.0]])
-        draws = sample_mvn(np.zeros(2), cov, rng, size=100_000)
+        draws = GaussianSubposterior(cov).sample(rng, size=100_000)
         assert metrics.second_order_error(draws, cov) < 0.02
 
     def test_permutation_invariant(self):
@@ -54,13 +54,14 @@ class TestSecondOrderError:
 
 class TestEnsemblePredict:
     def test_single_sample_zero_margin(self):
-        assert metrics.ensemble_predict(np.zeros((1, 2)), np.array([1.0, 1.0])) == 0.5
+        out = metrics.ensemble_predict(np.zeros((1, 2)), np.array([[1.0, 1.0]]))
+        np.testing.assert_array_equal(out, [0.5])
 
     def test_degenerate_ensemble(self):
         theta = np.array([0.5, -1.0])
         samples = np.tile(theta, (7, 1))
-        u = np.array([2.0, 0.3])
-        assert metrics.ensemble_predict(samples, u) == pytest.approx(float(ndtr(theta @ u)))
+        us = np.array([[2.0, 0.3], [-1.0, 0.4]])
+        np.testing.assert_allclose(metrics.ensemble_predict(samples, us), ndtr(us @ theta), rtol=1e-15)
 
     def test_matches_direct_average(self):
         rng = np.random.default_rng(3)

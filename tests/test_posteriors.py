@@ -277,9 +277,12 @@ class TestSignedCovariatesKeepTheBits:
         factor = psd_factor(cov)
         rng = np.random.default_rng(41)
         theta = posteriors.probit_mode(shard)
+        signs = 2.0 * v - 1.0
         expected = []
         for _ in range(30):
-            latents = posteriors.sample_truncated_normal(u @ theta, rng, positive=v == 1)
+            # the latent of u_n: on the positive side for label 1, the negative for 0
+            margins = u @ theta
+            latents = signs * posteriors._truncated_std_normal_above(-signs * margins, rng) + margins
             noise = factor @ rng.standard_normal(5)
             theta = cov @ (u.T @ latents) + noise
             expected.append(theta)
@@ -289,38 +292,24 @@ class TestSignedCovariatesKeepTheBits:
 class TestTruncatedNormal:
     def test_positive_side_half_normal_mean(self):
         rng = np.random.default_rng(5)
-        draws = posteriors.sample_truncated_normal(np.zeros(100_000), rng, positive=True)
+        draws = posteriors.sample_truncated_normal(np.zeros(100_000), rng)
         assert (draws > 0).all()
         # Half-normal mean sqrt(2/pi) = 0.7979
         assert draws.mean() == pytest.approx(np.sqrt(2 / np.pi), abs=0.01)
 
     def test_far_from_boundary_unaffected(self):
         rng = np.random.default_rng(6)
-        draws = posteriors.sample_truncated_normal(np.full(50_000, 5.0), rng, positive=True)
+        draws = posteriors.sample_truncated_normal(np.full(50_000, 5.0), rng)
         assert draws.mean() == pytest.approx(5.0, abs=0.02)
 
     def test_deep_tail_terminates_and_is_exact(self):
         rng = np.random.default_rng(7)
-        draws = posteriors.sample_truncated_normal(np.full(50_000, -8.0), rng, positive=True)
+        draws = posteriors.sample_truncated_normal(np.full(50_000, -8.0), rng)
         assert (draws > 0).all() and np.isfinite(draws).all()
         # Conditional mean of the tail: phi(8) / (1 - Phi(8)) centered at -8.
         alpha = 8.0
         tail_mean = -8.0 + np.exp(-0.5 * alpha**2 - 0.5 * np.log(2 * np.pi) - log_ndtr(-alpha))
         assert draws.mean() == pytest.approx(tail_mean, rel=0.01)
-
-    def test_negative_side(self):
-        rng = np.random.default_rng(8)
-        draws = posteriors.sample_truncated_normal(np.full(50_000, 1.0), rng, positive=False)
-        assert (draws <= 0).all()
-        # Mirror of the positive-side draw at mean -1.
-        mirror = posteriors.sample_truncated_normal(
-            np.full(50_000, -1.0), np.random.default_rng(8), positive=True
-        )
-        np.testing.assert_allclose(draws, -mirror)
-
-    def test_scalar_interface(self):
-        value = posteriors.sample_truncated_normal(0.3, np.random.default_rng(9))
-        assert isinstance(value, float) and value > 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_point_raises_before_drawing(self, bad):
@@ -430,11 +419,13 @@ class TestGibbsProbitSampler:
         u = rng.standard_normal((25, 2))
         v = (rng.uniform(size=25) < 0.5).astype(int)
         shard = posteriors.ProbitShard(u, v, 1.0)
-        # Drive the sampler manually for a few sweeps and check the invariant.
-        state_draws = posteriors.sample_truncated_normal(
-            u @ np.zeros(2), np.random.default_rng(15), positive=(v == 1)
+        # the sweep's latents sit on the positive side of the signed margins,
+        # so the latents of u_n, s_n times them, take the sign of their labels
+        theta = posteriors.probit_mode(shard)
+        latents = posteriors.sample_truncated_normal(
+            shard.signed_covariates @ theta, np.random.default_rng(15)
         )
-        assert ((state_draws > 0) == (v == 1)).all()
+        assert (((2 * v - 1) * latents > 0) == (v == 1)).all()
 
 
 def mode_shards():
@@ -614,3 +605,15 @@ class TestGaussianSubposterior:
     def test_rejects_singular(self):
         with pytest.raises(ValueError):
             posteriors.GaussianSubposterior(np.zeros((2, 2)))
+
+    def test_sample_covariance_converges(self):
+        cov = np.array([[1.0, 0.4], [0.4, 2.0]])
+        draws = posteriors.GaussianSubposterior(cov).sample(np.random.default_rng(7), size=100_000)
+        assert draws.shape == (100_000, 2)
+        assert np.abs(draws.T @ draws / draws.shape[0] - cov).max() < 0.05
+
+    def test_fixed_seed_reproducible(self):
+        sub = posteriors.GaussianSubposterior(toeplitz_covariance(0.6, 3))
+        a = sub.sample(np.random.default_rng(99), size=10)
+        b = sub.sample(np.random.default_rng(99), size=10)
+        np.testing.assert_array_equal(a, b)

@@ -12,8 +12,10 @@ interleaved within each pair, so a drift in machine load falls on both
 sides alike.  The record holds, per workload and end-to-end metric, each
 side's median, quartiles (inclusive method) and runs in pair order, the
 number of pairs the change won and the parent-over-change median ratio.
-``--trace-seed N`` adds one traced round per side and workload on seed N,
-with every non-zero per-layer metric.
+``--trace-seed N`` adds traced rounds on seeds N, N+1 and N+2, each
+side and workload once per seed, with the sides alternating as in the
+pairs; the record holds each per-layer metric's median, quartiles and runs
+per side, leaving out metrics that read zero in every traced run.
 Progress goes to stderr; nothing is written but ``--out``.
 """
 
@@ -34,6 +36,7 @@ import scipy
 SIDES = ("parent", "change")
 METRICS = ("trial_s", "setup_s", "peak_rss_mb")  # all lower-is-better
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+TRACED_ROUNDS = 3  # on seeds N, N+1, ...: enough for a median and quartiles per side
 
 
 def pair_order(i: int) -> tuple[str, str]:
@@ -139,15 +142,23 @@ def summarize(runs: list[dict], workloads) -> dict:
 
 
 def traced_rounds(checkouts: dict, workloads, seed: int, seconds: float) -> dict:
-    """One traced round per side and workload: its non-zero per-layer metrics."""
+    """``TRACED_ROUNDS`` traced rounds on seeds ``seed``, ``seed`` + 1, ..., ordered
+    like the pairs: per workload and side, the summary of each per-layer metric
+    that is non-zero in some traced run (a run without it counts as 0)."""
+    values = {workload: {side: [] for side in SIDES} for workload in workloads}
+    for i in range(TRACED_ROUNDS):
+        for workload in workloads:
+            for side in pair_order(i):
+                metrics = run_once(checkouts[side], workload, seed + i, seconds, 1)["metrics"]
+                values[workload][side].append({name: m["value"] for name, m in metrics.items()})
     out = {}
-    for workload in workloads:
-        out[workload] = {}
-        for side in SIDES:
-            metrics = run_once(checkouts[side], workload, seed, seconds, 1)["metrics"]
-            out[workload][side] = {
-                name: round(m["value"], 4) for name, m in metrics.items() if m["value"]
-            }
+    for workload, sides in values.items():
+        runs = [run for side_runs in sides.values() for run in side_runs]
+        names = sorted({name for run in runs for name, value in run.items() if value})
+        out[workload] = {
+            side: {name: side_summary([run.get(name, 0.0) for run in side_runs]) for name in names}
+            for side, side_runs in sides.items()
+        }
     return out
 
 
@@ -202,10 +213,14 @@ def main(argv=None) -> int:
         "workloads": summarize(runs, workloads),
     }
     if args.trace_seed is not None:
-        record[f"traced_round_seed_{args.trace_seed}"] = {
-            "command": command_line(checkouts, args.trace_seed, seconds, 1),
-            "note": "span times are wall seconds, runner.trial_s is reference seconds; "
-            "zero metrics are left out",
+        seeds = list(range(args.trace_seed, args.trace_seed + TRACED_ROUNDS))
+        record["traced_rounds"] = {
+            "command": command_line(checkouts, "S", seconds, 1),
+            "seeds": seeds,
+            "note": f"round i runs seed {args.trace_seed}+i on both sides, in the pairs' "
+            "side order; span times are wall seconds, runner.trial_s is reference "
+            "seconds; per side, the median, quartiles (inclusive method) and runs in "
+            "round order of each metric, leaving out metrics zero in every run",
             **traced_rounds(checkouts, workloads, args.trace_seed, seconds),
         }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
