@@ -247,17 +247,17 @@ class ExperimentConfig:
             raise ConfigError(f"unknown schemes {unknown}; allowed: {list(SCHEMES)}")
         if not self.schemes:
             raise ConfigError("at least one scheme is required")
-        if self.uses_oma and self.t_blocks < self.n_workers:
+        if self.blocks.get("oma") == 0:
             raise ConfigError(
                 f"orthogonal access needs t_blocks >= n_workers "
                 f"(got T={self.t_blocks}, K={self.n_workers})"
             )
         for name in self.schemes:
-            s = self.s_oma if SCHEMES[name].mode == "oma" else self.s_noma
-            if SCHEMES[name].fits and s < 2:
+            scheme = SCHEMES[name]
+            if scheme.fits and self.blocks[scheme.mode] < 2:
                 raise ConfigError(
                     f"{name} fits a covariance and needs at least 2 blocks per receiver "
-                    f"(got {s} from T={self.t_blocks}, K={self.n_workers})"
+                    f"(got {self.blocks[scheme.mode]} from T={self.t_blocks}, K={self.n_workers})"
                 )
         if self.scenario == "probit-csv" and self.csv is None:
             raise ConfigError("probit-csv runs need a csv section")
@@ -272,22 +272,16 @@ class ExperimentConfig:
             for name, params in self.schemes.items():
                 if isinstance(params, WvcmcParams) and params.n_b is not None:
                     raise ConfigError(f"{name}: the toy scenario has no data set to minibatch")
+        if self.partition.rule == "equal" and self.partition.zeta != 0:
+            raise ConfigError(f"partition.zeta={self.partition.zeta} needs the heterogeneous rule")
 
     @property
-    def uses_oma(self) -> bool:
-        return any(SCHEMES[name].mode == "oma" for name in self.schemes)
-
-    @property
-    def uses_noma(self) -> bool:
-        return any(SCHEMES[name].mode == "noma" for name in self.schemes)
-
-    @property
-    def s_oma(self) -> int:
-        return self.t_blocks // self.n_workers
-
-    @property
-    def s_noma(self) -> int:
-        return self.t_blocks
+    def blocks(self) -> dict[str, int]:
+        """S, the blocks each receiver gets, by the access modes the schemes
+        use: T/K under orthogonal access and all T superposed otherwise."""
+        per_mode = {"oma": self.t_blocks // self.n_workers, "noma": self.t_blocks}
+        modes = (SCHEMES[name].mode for name in self.schemes)
+        return {mode: per_mode[mode] for mode in modes if mode is not None}
 
 
 def _parse_scheme(name: str, section: dict):

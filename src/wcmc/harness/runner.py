@@ -120,7 +120,7 @@ def _cached(key: tuple, build: Callable[[], tuple]) -> tuple:
 
 def _draw_count(config: ExperimentConfig) -> int:
     """S, the draws each worker makes: the most any transmitting scheme sends."""
-    return max(config.s_oma * config.uses_oma, config.s_noma * config.uses_noma)
+    return max(config.blocks.values(), default=0)
 
 
 def _worker_draws(config: ExperimentConfig, trial: int, draw) -> np.ndarray:
@@ -265,12 +265,7 @@ class Link:
         gram = np.eye(m_r)
         self.n0 = noise_variance(config.snr_db, m_r)
         self.encs, self.ys = {}, {}  # encoder list and received blocks by access mode
-        for mode, s in (
-            ("oma", config.s_oma * config.uses_oma),
-            ("noma", config.s_noma * config.uses_noma),
-        ):
-            if not s:
-                continue
+        for mode, s in config.blocks.items():
             thetas = world.worker_samples[:s]
             scales = [power_scale(thetas[:, j], gram, self.reps, 1.0) for j in range(k)]
             if mode == "oma":
@@ -359,7 +354,7 @@ class Link:
             "snr_db": cfg.snr_db,
             "t": cfg.t_blocks,
             "k": cfg.n_workers,
-            "zeta": cfg.partition.zeta if cfg.partition.rule == "heterogeneous" else 0.0,
+            "zeta": cfg.partition.zeta,
             "trial": self.trial,
             "err2": err2,
             "kl": kl,

@@ -12,11 +12,13 @@ Gauss-Hermite quadrature at that mode (``probit_quadrature``), which has no
 Monte Carlo noise and reports the step between its last two grids.  A ``ProbitShard`` is a
 ``LabeledDataset``, which holds the data checks, plus its prior variance.
 
-Each family's log-joint gradient and value are callbacks built by one
-factory (``gaussian_joint_grad_fn``, ``probit_joint_grad_fn`` and their
-``*_log_joint_fn`` pairs), which the weight optimizer and the SGLD baseline
-call with samples and optional minibatch indices.  The probit factories
-check the data and prior variance once, when they are built.
+Each family's log-joint gradient is a callback built by one factory
+(``gaussian_joint_grad_fn``, ``probit_joint_grad_fn``), which the weight
+optimizer and the SGLD baseline call with samples and optional minibatch
+indices.  Probit also has a log-joint value callback
+(``probit_log_joint_fn``), which the quadrature reference and the wvcmc
+free-energy bound call.  The probit factories check the data and prior
+variance once, when they are built.
 
 Every probit kernel (the gradient and log-joint callbacks, the Newton system
 and the Gibbs sweep) reads the signed covariates s_n u_n with s_n = 2 v_n - 1
@@ -221,20 +223,6 @@ def gaussian_joint_grad_fn(cov: np.ndarray):
         return -np.asarray(thetas, dtype=float) @ precision
 
     return grad
-
-
-def gaussian_log_joint_fn(cov: np.ndarray):
-    cov = _require_symmetric(cov, "covariance")
-    precision = symmetrize(np.linalg.inv(cov))
-    _, logdet = np.linalg.slogdet(cov)
-    const = -0.5 * (cov.shape[0] * _LOG_2PI + logdet)
-
-    def value(thetas: np.ndarray, idx=None) -> np.ndarray:
-        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        quad = np.einsum("sd,de,se->s", thetas, precision, thetas)
-        return const - 0.5 * quad
-
-    return value
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ class TestChannelModel:
         m_t = m_r + 2
         gram = np.eye(m_r) / (m_t - m_r - 1)
         np.testing.assert_array_equal(gram, np.eye(m_r))
-        thetas = link.world.worker_samples[: cfg.s_oma]
+        thetas = link.world.worker_samples[: cfg.blocks["oma"]]
         for k, enc in enumerate(link.encs["oma"]):
             assert enc.scale == pytest.approx(channel.power_scale(thetas[:, k], gram, 2, 1.0))
 

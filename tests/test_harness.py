@@ -626,7 +626,7 @@ class TestWorld:
         assert len(shards) == cfg.n_workers
         for j, shard in enumerate(shards):
             rng = runner.substream(cfg.seed, 1, "worker", j)
-            expected = gibbs_probit_sampler(shard, cfg.s_noma, rng, burn_in=100)
+            expected = gibbs_probit_sampler(shard, cfg.blocks["noma"], rng, burn_in=100)
             np.testing.assert_array_equal(world.worker_samples[:, j], expected)
 
     def test_rewritten_csv_rebuilds(self, tmp_path, monkeypatch):
@@ -1151,6 +1151,12 @@ class TestCli:
                 "wgcmc-noma fits a covariance and needs at least 2 blocks per receiver",
             ),
             ({}, ["run", "--seed", "-1"], "seed must be non-negative, got -1"),
+            # the equal rule reads no zeta, which the rows would then misreport
+            (
+                {**CSV_DOC, "partition": {"zeta": 0.5}},
+                ["run"],
+                "partition.zeta=0.5 needs the heterogeneous rule",
+            ),
         ],
     )
     def test_errors_end_in_one_line(self, tmp_path, capsys, monkeypatch, doc, argv, message):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import multivariate_normal
 
 from wcmc import aggregators, channel, posteriors, wvcmc
 from wcmc.aggregators import apply_weights
@@ -412,7 +413,7 @@ class TestRunWvcmc:
             rng=np.random.default_rng(2),
         )
         ents = [posteriors.GaussianSubposterior(c).entropy() for c in covs]
-        log_joint = posteriors.gaussian_log_joint_fn(global_cov)
+        log_joint = lambda thetas, idx=None: multivariate_normal(cov=global_cov).logpdf(thetas)
         objective = lambda ws: wvcmc.free_energy_oma(ws, ys, mats, n0, ents, log_joint)
         assert objective(result.weights) < objective(init)
 
