@@ -14,17 +14,18 @@ existing streams.
 A probit world's reference is ``posteriors.probit_quadrature``'s weighted
 nodes, summarised into the moment and test prediction; only when the
 quadrature gives up does a Gibbs chain of ``reference.n_samples`` draws after
-``reference.burn_in`` sweeps take its place.  The reference and the workers'
-draws are cached in the process, each under what it reads (``_cache_keys``):
-the reference under the data, the prior and the ``reference`` section, the
-draws under the data, the prior, K, the partition and S.  Both share
-``CHAIN_CACHE_BYTES``, the least recently used entry evicted first.  So an
-SNR sweep, or configs that differ only in their link, build each trial's
-world once, and a ``t``, ``k`` or ``zeta`` sweep computes one reference per
-trial.  The toy's world is closed-form plus a few draws, too cheap to cache.
-Each ``--parallel`` pool process has its own cache and ``sweep`` starts a
-pool per point, so parallel sweep points do not share it.  Result files are
-``results``'s.
+``reference.burn_in`` sweeps take its place.  The workers' chains run as one
+sweep over all K shards (``gibbs_probit_chains``), each on its own substream.
+The reference and the workers' draws are cached in the process, each under
+what it reads (``_cache_keys``): the reference under the data, the prior and
+the ``reference`` section, the draws under the data, the prior, K, the
+partition and S.  Both share ``CHAIN_CACHE_BYTES``, the least recently used
+entry evicted first.  So an SNR sweep, or configs that differ only in their
+link, build each trial's world once, and a ``t``, ``k`` or ``zeta`` sweep
+computes one reference per trial.  The toy's world is closed-form plus a few
+draws, too cheap to cache.  Each ``--parallel`` pool process has its own
+cache and ``sweep`` starts a pool per point, so parallel sweep points do not
+share it.  Result files are ``results``'s.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from ..metrics import ensemble_predict, kl_ensemble, second_moment, second_order
 from ..posteriors import (
     ProbitShard,
     gaussian_joint_grad_fn,
+    gibbs_probit_chains,
     gibbs_probit_sampler,
     probit_joint_grad_fn,
     probit_quadrature,
@@ -124,19 +126,19 @@ def _draw_count(config: ExperimentConfig) -> int:
 
 
 def _worker_draws(config: ExperimentConfig, trial: int, draw) -> np.ndarray:
-    """(s_max, K, d) stack of ``draw(k, s_max, rng)`` over the workers, each
-    on its own substream; no draws when no scheme transmits."""
+    """The (s_max, K, d) stack ``draw(s_max, rngs)`` makes from the workers'
+    substreams, worker k's in ``rngs[k]``; no draws when no scheme transmits."""
     k, s = config.n_workers, _draw_count(config)
     if not s:
         return np.empty((0, k, config.dim))
-    draws = [draw(j, s, substream(config.seed, trial, "worker", j)) for j in range(k)]
-    return np.stack(draws, axis=1)
+    return draw(s, [substream(config.seed, trial, "worker", j) for j in range(k)])
 
 
 def gaussian_world(config: ExperimentConfig, trial: int) -> World:
     subs = gen_gaussian_scenario(config.n_workers, config.dim, config.subposteriors)
     _, global_cov = gaussian_product([s.cov for s in subs])
-    draws = _worker_draws(config, trial, lambda j, s, rng: subs[j].sample(rng, size=s))
+    draw = lambda s, rngs: np.stack([sub.sample(rng, s) for sub, rng in zip(subs, rngs)], axis=1)
+    draws = _worker_draws(config, trial, draw)
     # Zero-mean target: the exact covariance doubles as the second moment.
     return World(draws, global_cov, gaussian_joint_grad_fn(global_cov), reference_error=0.0)
 
@@ -176,7 +178,7 @@ def probit_world(config: ExperimentConfig, trial: int) -> World:
     )
     k_prior = config.n_workers * config.prior_variance  # each shard takes the prior^(1/K)
     shards = [ProbitShard(dataset.covariates[i], dataset.labels[i], k_prior) for i in shards_idx]
-    draw = lambda j, s, rng: gibbs_probit_sampler(shards[j], s, rng)
+    draw = lambda s, rngs: gibbs_probit_chains(shards, s, rngs)
     (draws,) = _cached(workers_key, lambda: (_worker_draws(config, trial, draw),))
     grad = probit_joint_grad_fn(dataset.covariates, dataset.labels, config.prior_variance)
     return World(draws, moment, grad, dataset.size, test_u, prediction, error)

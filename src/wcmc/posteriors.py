@@ -5,12 +5,14 @@ Two model families are supported: zero-mean Gaussians with known covariance
 shard with an underweighted Gaussian prior.  Probit sampling goes through
 the latent-variable Gibbs scheme: each latent is a unit-variance Gaussian
 truncated to the half-line fixed by its label, and the coefficient draw is
-conjugate given the latents.  Every chain starts at its shard's posterior
-mode, found by Newton steps (``probit_mode``).  A whole data set's posterior,
-the reference the schemes are scored against, is also given by adaptive
-Gauss-Hermite quadrature at that mode (``probit_quadrature``), which has no
-Monte Carlo noise and reports the step between its last two grids.  A ``ProbitShard`` is a
-``LabeledDataset``, which holds the data checks, plus its prior variance.
+conjugate given the latents.  ``gibbs_probit_chains`` runs K shards' chains
+as one sweep, ``gibbs_probit_sampler`` is its one-shard case, and every chain
+starts at its shard's posterior mode, found by Newton steps (``probit_mode``).
+A whole data set's posterior, the reference the schemes are scored against,
+is also given by adaptive Gauss-Hermite quadrature at that mode
+(``probit_quadrature``), which has no Monte Carlo noise and reports the step
+between its last two grids.  A ``ProbitShard`` is a ``LabeledDataset``,
+which holds the data checks, plus its prior variance.
 
 Each family's log-joint gradient is a callback built by one factory
 (``gaussian_joint_grad_fn``, ``probit_joint_grad_fn``), which the weight
@@ -230,10 +232,10 @@ def gaussian_joint_grad_fn(cov: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _truncated_std_normal_above(alpha: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw Z ~ N(0,1) conditioned on Z > alpha, elementwise, by inverse CDF
-    from one uniform per point in index order.  A NaN or +inf alpha raises
-    ``ValueError`` before anything is drawn; -inf is the untruncated normal.
+def _truncated_std_normal_above(alpha: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Z ~ N(0,1) conditioned on Z > alpha, elementwise, by inverse CDF from
+    the uniforms ``u``, one per point and of alpha's shape.  A NaN or +inf
+    alpha raises ``ValueError``; -inf is the untruncated normal.
 
     Past ``_TAIL_CUTOFF`` the same uniform is mapped by the complement form
     in log space, 1 - Phi(Z) = (1 - u)(1 - Phi(alpha)), which stays exact
@@ -244,7 +246,6 @@ def _truncated_std_normal_above(alpha: np.ndarray, rng: np.random.Generator) -> 
     top = alpha.max(initial=-np.inf)  # NaN if any point is NaN
     if not top < np.inf:
         raise ValueError("truncation points must be finite or -inf")
-    u = rng.uniform(size=alpha.shape)
     p_below = ndtr(alpha)
     out = ndtri(p_below + u * (1.0 - p_below))
     if top > _TAIL_CUTOFF:
@@ -255,11 +256,11 @@ def _truncated_std_normal_above(alpha: np.ndarray, rng: np.random.Generator) -> 
     return out
 
 
-def sample_truncated_normal(mean: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw from N(mean, 1) restricted to (0, inf), elementwise, as
-    (Z | Z > -mean) + mean: one uniform per element, mapped by the inverse CDF,
-    in log space past ``_TAIL_CUTOFF`` so that deep-tail draws stay exact."""
-    draws = _truncated_std_normal_above(-np.asarray(mean, dtype=float), rng)
+def sample_truncated_normal(mean: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """N(mean, 1) restricted to (0, inf), elementwise, as (Z | Z > -mean) + mean,
+    from the uniforms ``u``, one per element: mapped by the inverse CDF, in
+    log space past ``_TAIL_CUTOFF`` so that deep-tail draws stay exact."""
+    draws = _truncated_std_normal_above(-np.asarray(mean, dtype=float), u)
     draws += mean
     return draws
 
@@ -354,37 +355,61 @@ def _gibbs_coefficient_cov(shard: ProbitShard) -> np.ndarray:
     return symmetrize(np.linalg.inv(a))
 
 
-def gibbs_probit_sampler(
-    shard: ProbitShard,
-    n_samples: int,
-    rng: np.random.Generator,
-    burn_in: int = 100,
+def gibbs_probit_chains(
+    shards: list[ProbitShard], n_samples: int, rngs: list[np.random.Generator], burn_in: int = 100
 ) -> np.ndarray:
-    """Latent-variable Gibbs sampler for the probit posterior of a shard.
+    """Latent-variable Gibbs chains for the probit posteriors of K shards, run
+    as one sweep over all of them, each from its shard's posterior mode: the
+    last ``n_samples`` of ``burn_in + n_samples`` coefficient draws, shape
+    (n_samples, K, d).
 
-    Starts at the shard's posterior mode (``probit_mode``), runs
-    ``burn_in + n_samples`` sweeps and returns the last ``n_samples``
-    coefficient draws, shape (n_samples, d).  Each sweep resamples every
-    latent from its truncated Gaussian and then the coefficients from their
-    Gaussian conditional, whose covariance is constant across sweeps and
-    factored once.  The latents are those of the signed covariates s_n u_n,
-    so every one is drawn on the positive side of its signed margin; each is
-    s_n times the latent of u_n, which lies on the negative side for label 0.
+    A sweep draws every latent from its truncated Gaussian, on the positive
+    side of its signed margin, then each shard's coefficients from their
+    Gaussian conditional, whose covariance is factored once.  Per sweep,
+    ``rngs[k]`` gives one uniform per latent of shard k, in index order, then
+    d noise normals, so chain k is a run on shard k alone, bit for bit, and a
+    longer run repeats a shorter one's draws.  The truncated-normal map runs
+    once over all latents, held shard after shard in one flat buffer.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     if burn_in < 0:
         raise ValueError(f"burn_in must be non-negative, got {burn_in}")
-    w = shard.signed_covariates
-    cov = _gibbs_coefficient_cov(shard)
-    factor = psd_factor(cov)
-
-    theta = probit_mode(shard)
-    out = np.empty((n_samples, shard.dim))
+    if not shards or len(rngs) != len(shards):
+        raise ValueError(f"need one generator per shard, got {len(rngs)} for {len(shards)} shards")
+    covs = np.stack([_gibbs_coefficient_cov(shard) for shard in shards])  # (K, d, d)
+    factors = np.stack([psd_factor(cov) for cov in covs])
+    thetas = np.stack([probit_mode(shard) for shard in shards])  # (K, d)
+    sums, z, noise = (np.empty((*thetas.shape, 1)) for _ in range(3))  # W^T latents, z, factor @ z
+    ends = np.cumsum([shard.size for shard in shards])
+    spans = [slice(end - shard.size, end) for shard, end in zip(shards, ends)]
+    ws = [shard.signed_covariates for shard in shards]
+    margins, u = np.empty(ends[-1]), np.empty(ends[-1])
+    # each shard's views: its margins and uniforms, then its rows of sums and z
+    latent_step = list(zip(ws, thetas, [margins[s] for s in spans], [u[s] for s in spans], rngs))
+    coefficient_step = list(zip(ws, spans, rngs, sums[..., 0], z[..., 0]))
+    out = np.empty((n_samples, *thetas.shape))
     for sweep in range(burn_in + n_samples):
-        latents = sample_truncated_normal(w @ theta, rng)
-        noise = factor @ rng.standard_normal(shard.dim)
-        theta = cov @ (w.T @ latents) + noise
+        for w, theta, margin, uniform, rng in latent_step:
+            np.matmul(w, theta, margin)
+            rng.random(out=uniform)  # the bits of rng.uniform(size=n_k)
+        latents = sample_truncated_normal(margins, u)
+        for w, span, rng, total, draw in coefficient_step:
+            np.matmul(w.T, latents[span], total)
+            rng.standard_normal(out=draw)
+        # a stacked matmul makes one matrix-vector BLAS call per shard, so
+        # these are cov_k @ total_k + factor_k @ z_k bit for bit
+        np.matmul(covs, sums, thetas[..., None])
+        np.matmul(factors, z, noise)
+        thetas += noise[..., 0]
         if sweep >= burn_in:
-            out[sweep - burn_in] = theta
+            out[sweep - burn_in] = thetas
     return out
+
+
+def gibbs_probit_sampler(
+    shard: ProbitShard, n_samples: int, rng: np.random.Generator, burn_in: int = 100
+) -> np.ndarray:
+    """``gibbs_probit_chains``' K = 1 case: the shard's last ``n_samples``
+    coefficient draws after ``burn_in`` sweeps, shape (n_samples, d)."""
+    return gibbs_probit_chains([shard], n_samples, [rng], burn_in)[:, 0]

@@ -44,6 +44,9 @@ print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metri
 """
 
 
+BOUNDS = (0.1, 0.25, 0.05)  # trial_s, setup_s, peak_rss_mb
+
+
 @pytest.fixture
 def checkouts(tmp_path):
     out = {}
@@ -51,7 +54,12 @@ def checkouts(tmp_path):
         root = tmp_path / side
         root.mkdir()
         (root / "stub.py").write_text(STUB)
-        bench = {"command": ["python3", "stub.py"], "run_seconds": 2, "workloads": [{"name": "toy-snr"}]}
+        bench = {
+            "command": ["python3", "stub.py"],
+            "run_seconds": 2,
+            "workloads": [{"name": "toy-snr"}],
+            "end_to_end": [{"name": m, "bound": b} for m, b in zip(bench_pairs.METRICS, BOUNDS)],
+        }
         (root / "BENCHMARK.json").write_text(json.dumps(bench))
         out[side] = root
     return out
@@ -70,7 +78,8 @@ def test_pairs_alternate_and_interleave(checkouts, tmp_path):
 
 def test_summary_medians_quartiles_and_wins(checkouts):
     runs = bench_pairs.run_pairs(checkouts, ["toy-snr"], 5, 0, 1.0)
-    entry = bench_pairs.summarize(runs, ["toy-snr"])["toy-snr"]
+    bounds = dict(zip(bench_pairs.METRICS, BOUNDS))
+    entry = bench_pairs.summarize(runs, ["toy-snr"], bounds)["toy-snr"]
     trial = entry["trial_s"]
     assert trial["parent"] == {"median": 12.0, "q1": 11.0, "q3": 13.0, "runs": [10.0, 11.0, 12.0, 13.0, 14.0]}
     assert trial["change"]["runs"] == [5.0, 6.0, 7.0, 28.0, 9.0]
@@ -79,15 +88,24 @@ def test_summary_medians_quartiles_and_wins(checkouts):
     assert trial["parent_median_over_change_median"] == round(12.0 / 7.0, 3)
     assert entry["setup_s"]["change_better_in_pairs"] == 0  # a tie is no win
     assert entry["peak_rss_mb"]["parent_median_over_change_median"] == 1.2
+    # 4 of 5 pairs is below nine tenths, and the parent's q3 - q1 of 2 is
+    # 17 % of its median, past trial_s's 10 % bound; the memory gain is 5 of 5
+    # pairs, by 10 MB against a q3 - q1 of 0
+    assert not trial["gain_shown"] and not trial["resolved"]
+    assert entry["peak_rss_mb"]["gain_shown"] and entry["peak_rss_mb"]["resolved"]
+    assert not entry["setup_s"]["gain_shown"] and entry["setup_s"]["resolved"]
     assert entry["correct"] and entry["failed_operations"] == 0 and entry["pairs"] == 5
     assert entry["attempted_operations"] == {"parent": 15, "change": 15}
 
 
 def test_main_writes_the_record(checkouts, tmp_path):
     out = tmp_path / "BENCH_X.json"
+    bench = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())
+    bench["end_to_end"][0]["bound"] = 0.01
+    (checkouts["parent"] / "BENCHMARK.json").write_text(json.dumps(bench))
     # the workloads and the run length come from the change's BENCHMARK.json
     argv = ["--parent", str(checkouts["parent"]), "--change", str(checkouts["change"]),
-            "--pairs", "2", "--seed-base", "7", "--trace-seed", "1", "--label", "stub", "--out", str(out)]
+            "--pairs", "2", "--seed-base", "2", "--trace-seed", "1", "--label", "stub", "--out", str(out)]
     assert bench_pairs.main(argv) == 0
     record = json.loads(out.read_text())
     assert record["change"] == "stub"
@@ -95,6 +113,10 @@ def test_main_writes_the_record(checkouts, tmp_path):
     assert set(record["workloads"]["toy-snr"]) == {
         "correct", "failed_operations", "attempted_operations", "trial_s", "setup_s", "peak_rss_mb", "pairs",
     }
+    # the bound is the change's: the parent's trial_s runs 12 and 13 spread
+    # 4 % of their median, within the change's 10 % and past the parent's 1 %,
+    # and the change's 28 in pair 1 is no better than either
+    assert record["workloads"]["toy-snr"]["trial_s"]["resolved"]
     # three traced rounds on seeds 1, 2 and 3, the sides alternating as in the pairs
     traced = record["traced_rounds"]
     assert traced["command"] == "python3 stub.py --workload W --seed S --seconds 2 --trace 1"
@@ -110,6 +132,35 @@ def test_main_writes_the_record(checkouts, tmp_path):
     assert traced["toy-snr"]["change"]["wvcmc.run_s"] == {"median": 3.0, "q1": 2.5, "q3": 3.5, "runs": [2.0, 3.0, 4.0]}
     assert traced["toy-snr"]["change"]["channel.transmit_s"]["runs"] == [0.0, 0.5, 0.0]
     assert set(traced["toy-snr"]["parent"]) == {"wvcmc.run_s", "channel.transmit_s"}
+
+
+@pytest.mark.parametrize(
+    "change, shown",
+    [
+        ([5.0] * 9 + [20.0], True),  # 9 of 10 pairs
+        ([5.0] * 8 + [20.0] * 2, False),  # 8 of 10
+        ([5.0] * 8 + [13.0, 13.0], False),  # 8 wins and 2 ties: a tie counts for neither
+        ([11.9] * 10, False),  # 10 of 10, but 0.6 below a median whose q3 - q1 is 1
+    ],
+)
+def test_gain_needs_nine_tenths_of_pairs_and_a_gap_past_the_parent_spread(change, shown):
+    parent = [12.0, 12.0, 12.0, 12.5, 12.5, 12.5, 13.0, 13.0, 13.0, 13.0]  # q1 12, q3 13
+    assert bench_pairs.verdict(parent, change, 0.25)["gain_shown"] is shown
+
+
+@pytest.mark.parametrize(
+    "change, bound, resolved",
+    [
+        ([91.0, 95.0, 90.0, 94.0], 0.05, False),  # parent q3 - q1 6 % of its median
+        ([91.0, 95.0, 90.0, 94.0], 0.07, True),
+        ([80.0, 85.0, 84.0, 86.0], 0.05, True),  # every change run below every parent run
+    ],
+)
+def test_a_spread_past_the_bound_is_unresolved(change, bound, resolved):
+    parent = [89.0, 95.0, 90.0, 97.0]  # q1 89.75, median 92.5, q3 95.5
+    verdict = bench_pairs.verdict(parent, change, bound)
+    assert verdict["resolved"] is resolved
+    assert verdict["change_better_in_pairs"] == sum(c < p for p, c in zip(parent, change))
 
 
 def test_command_names_each_side_when_they_differ(checkouts):

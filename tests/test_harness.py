@@ -25,7 +25,7 @@ from wcmc.harness.data import (
 )
 from wcmc.harness.results import write_manifest, write_rows
 from wcmc.harness.runner import apply_axis, run_experiment, sweep
-from wcmc.posteriors import gibbs_probit_sampler, probit_quadrature
+from wcmc.posteriors import gibbs_probit_chains, gibbs_probit_sampler, probit_quadrature
 
 NAN = float("nan")
 
@@ -528,15 +528,27 @@ CSV_DOC = {
 
 
 def count_chains(monkeypatch) -> list:
-    """The shard sizes of the Gibbs chains the runner starts from now on."""
+    """The shard sizes of the Gibbs chains the runner starts from now on: one
+    per shard of the workers' stacked sweep, and the reference fallback's."""
     sizes = []
 
-    def recording(shard, *args, **kw):
+    def stacked(shards, *args, **kw):
+        sizes.extend(shard.size for shard in shards)
+        return gibbs_probit_chains(shards, *args, **kw)
+
+    def one(shard, *args, **kw):
         sizes.append(shard.size)
         return gibbs_probit_sampler(shard, *args, **kw)
 
-    monkeypatch.setattr(runner, "gibbs_probit_sampler", recording)
+    monkeypatch.setattr(runner, "gibbs_probit_chains", stacked)
+    monkeypatch.setattr(runner, "gibbs_probit_sampler", one)
     return sizes
+
+
+def forbid_chains(monkeypatch) -> None:
+    """Fail the test if the runner starts any Gibbs chain from now on."""
+    for name in ("gibbs_probit_chains", "gibbs_probit_sampler"):
+        monkeypatch.setattr(runner, name, lambda *a, **kw: pytest.fail("a chain ran"))
 
 
 def record_references(monkeypatch) -> list:
@@ -616,11 +628,12 @@ class TestWorld:
         # after the 100 burn-in sweeps of gibbs_probit_sampler's default
         shards = []
 
-        def recording(shard, *args, **kw):
-            shards.append(shard)
-            return gibbs_probit_sampler(shard, *args, **kw)
+        def recording(stack, *args, **kw):
+            assert "burn_in" not in kw and len(args) == 2  # (S, rngs): the default
+            shards.extend(stack)
+            return gibbs_probit_chains(stack, *args, **kw)
 
-        monkeypatch.setattr(runner, "gibbs_probit_sampler", recording)
+        monkeypatch.setattr(runner, "gibbs_probit_chains", recording)
         cfg = probit_config(seed=3)
         world = runner.build_world(cfg, 1)
         assert len(shards) == cfg.n_workers
@@ -702,13 +715,14 @@ class TestWorld:
             draws.append(gibbs_probit_sampler(shard, n_samples, rng, **kw))
             return draws[-1]
 
+        chains = count_chains(monkeypatch)
         monkeypatch.setattr(runner, "gibbs_probit_sampler", recording)
         references = record_references(monkeypatch)
         cfg = probit_config(**NEAR_SEPARABLE)
         world = runner.build_world(cfg, 0)
         assert references == [(100, None)]
-        reference = draws[0]  # the first chain runs over the whole data set
-        assert reference.shape == (1000, 5) and len(draws) == 1 + cfg.n_workers
+        [reference] = draws  # the one-shard chain runs over the whole data set
+        assert reference.shape == (1000, 5) and chains == [50, 50]  # then the workers'
         np.testing.assert_array_equal(world.reference_moment, metrics.second_moment(reference))
         np.testing.assert_array_equal(
             world.reference_prediction,
@@ -852,8 +866,7 @@ class TestEndToEndScenarios:
         ds = gen_probit_data(200, 8, np.full(8, 0.3), np.random.default_rng(9))
         path = tmp_path / "wide.csv"
         export_csv(ds, path)
-        chains = []
-        monkeypatch.setattr(runner, "gibbs_probit_sampler", lambda *a, **kw: chains.append(a))
+        chains = count_chains(monkeypatch)
         cfg = parse_config(
             {
                 "scenario": "probit-csv",
@@ -894,8 +907,7 @@ class TestEndToEndScenarios:
     def test_data_that_cannot_serve_the_config_fails_before_any_chain(
         self, monkeypatch, overrides, message
     ):
-        chains = []
-        monkeypatch.setattr(runner, "gibbs_probit_sampler", lambda *a, **kw: chains.append(a))
+        chains = count_chains(monkeypatch)
         with pytest.raises(ValueError, match=message):
             run_experiment(probit_config(**overrides))
         assert chains == []
@@ -1170,8 +1182,7 @@ class TestCli:
         (tmp_path / "ab.csv").write_text("a,b\n1,2\n")
         result = "scheme,snr_db,t,k,zeta,err2\ngcmc,0,10,2,0,0.5\n"
         (tmp_path / "err2.csv").write_text(result + "gcmc,0,10,2,0,abc\n")
-        no_chain = lambda *a, **kw: pytest.fail("a chain ran")
-        monkeypatch.setattr(runner, "gibbs_probit_sampler", no_chain)
+        forbid_chains(monkeypatch)
         cfg_path = tmp_path / ("missing.json" if doc is None else "cfg.json")
         if doc is not None:
             base = {
@@ -1225,7 +1236,7 @@ class TestCli:
             manifest.write_text('[{"master_seed": 1}]\n')
         base = {"n_workers": 3, "t_blocks": 30, "snr_db": 10.0, "trials": 1, "seed": 5}
         (tmp_path / "cfg.json").write_text(json.dumps({**base, **CSV_DOC, "schemes": {"gcmc": {}}}))
-        monkeypatch.setattr(runner, "gibbs_probit_sampler", lambda *a, **kw: pytest.fail("a chain ran"))
+        forbid_chains(monkeypatch)
         tree = {p: p.is_dir() or p.read_bytes() for p in tmp_path.rglob("*")}
         with pytest.raises(SystemExit) as exc:
             cli.main(argv + ["--config", "cfg.json", "--out", out])

@@ -282,7 +282,8 @@ class TestSignedCovariatesKeepTheBits:
         for _ in range(30):
             # the latent of u_n: on the positive side for label 1, the negative for 0
             margins = u @ theta
-            latents = signs * posteriors._truncated_std_normal_above(-signs * margins, rng) + margins
+            above = posteriors._truncated_std_normal_above(-signs * margins, rng.uniform(size=425))
+            latents = signs * above + margins
             noise = factor @ rng.standard_normal(5)
             theta = cov @ (u.T @ latents) + noise
             expected.append(theta)
@@ -291,20 +292,20 @@ class TestSignedCovariatesKeepTheBits:
 
 class TestTruncatedNormal:
     def test_positive_side_half_normal_mean(self):
-        rng = np.random.default_rng(5)
-        draws = posteriors.sample_truncated_normal(np.zeros(100_000), rng)
+        u = np.random.default_rng(5).uniform(size=100_000)
+        draws = posteriors.sample_truncated_normal(np.zeros(100_000), u)
         assert (draws > 0).all()
         # Half-normal mean sqrt(2/pi) = 0.7979
         assert draws.mean() == pytest.approx(np.sqrt(2 / np.pi), abs=0.01)
 
     def test_far_from_boundary_unaffected(self):
-        rng = np.random.default_rng(6)
-        draws = posteriors.sample_truncated_normal(np.full(50_000, 5.0), rng)
+        u = np.random.default_rng(6).uniform(size=50_000)
+        draws = posteriors.sample_truncated_normal(np.full(50_000, 5.0), u)
         assert draws.mean() == pytest.approx(5.0, abs=0.02)
 
     def test_deep_tail_terminates_and_is_exact(self):
-        rng = np.random.default_rng(7)
-        draws = posteriors.sample_truncated_normal(np.full(50_000, -8.0), rng)
+        u = np.random.default_rng(7).uniform(size=50_000)
+        draws = posteriors.sample_truncated_normal(np.full(50_000, -8.0), u)
         assert (draws > 0).all() and np.isfinite(draws).all()
         # Conditional mean of the tail: phi(8) / (1 - Phi(8)) centered at -8.
         alpha = 8.0
@@ -313,40 +314,28 @@ class TestTruncatedNormal:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_point_raises_before_drawing(self, bad):
-        # NaN and +inf fall past the cutoff, where the rejection loop would never accept
-        rng = np.random.default_rng(10)
+        # NaN and +inf fall past the cutoff, where no uniform maps to a draw
         with pytest.raises(ValueError, match="finite"):
-            posteriors._truncated_std_normal_above(np.array([5.0, bad]), rng)
-        fresh = np.random.default_rng(10)
-        assert rng.uniform() == fresh.uniform()
+            posteriors._truncated_std_normal_above(np.array([5.0, bad]), np.full(2, 0.5))
 
     def test_one_uniform_per_point_in_index_order(self):
-        # Point i's draw is a function of the i-th uniform alone, so appending
-        # tail points leaves the other draws unchanged, and every call advances
-        # the generator by exactly one uniform per point, tail or not.
+        # Point i's draw is a function of alpha_i and the i-th uniform alone,
+        # so appending tail points leaves the other draws unchanged.  (Each
+        # Gibbs sweep's stream use is pinned in TestGibbsProbitChains.)
         alpha = np.random.default_rng(11).uniform(-4.0, posteriors._TAIL_CUTOFF, size=(3, 200))
         alpha[1, 7] = posteriors._TAIL_CUTOFF
-        rng = np.random.default_rng(12)
-        whole = posteriors._truncated_std_normal_above(alpha, rng)
+        u = np.random.default_rng(12).uniform(size=alpha.size + 2)
+        whole = posteriors._truncated_std_normal_above(alpha, u[:-2].reshape(alpha.shape))
         tails = np.array([6.0, 40.0])
-        mixed = posteriors._truncated_std_normal_above(
-            np.concatenate([alpha.ravel(), tails]), np.random.default_rng(12)
-        )
+        mixed = posteriors._truncated_std_normal_above(np.concatenate([alpha.ravel(), tails]), u)
         assert whole.shape == alpha.shape
         assert np.array_equal(mixed[:-2], whole.ravel())
         assert (mixed[-2:] > tails).all() and (whole > alpha).all()
-        fresh = np.random.default_rng(12)
-        fresh.uniform(size=alpha.size)
-        assert rng.uniform() == fresh.uniform()
-        rng, fresh = np.random.default_rng(13), np.random.default_rng(13)
-        posteriors._truncated_std_normal_above(np.array([0.0, 5.0, 1.0, 9.0]), rng)
-        fresh.uniform(size=4)
-        assert rng.uniform() == fresh.uniform()
 
     def test_draw_past_the_overflow_is_alpha(self):
         # alpha**2 / 2 overflows past about 1.9e154; the exact draw is alpha + O(1 / alpha)
         alpha = np.array([1e300, 1e200, 2e154])
-        draws = posteriors._truncated_std_normal_above(alpha, np.random.default_rng(38))
+        draws = posteriors._truncated_std_normal_above(alpha, np.random.default_rng(38).uniform(size=3))
         assert np.isfinite(draws).all() and (draws >= alpha).all()
 
     # 3.9 is drawn by the inverse CDF, 4.1 and beyond by its log-space form past _TAIL_CUTOFF
@@ -357,7 +346,7 @@ class TestTruncatedNormal:
     def test_law_matches_scipy_truncnorm(self, alpha, seed):
         assert (alpha <= posteriors._TAIL_CUTOFF) == (alpha < 4.0)
         draws = posteriors._truncated_std_normal_above(
-            np.full(20_000, alpha), np.random.default_rng(seed)
+            np.full(20_000, alpha), np.random.default_rng(seed).uniform(size=20_000)
         )
         law = stats.truncnorm(alpha, np.inf)
         assert stats.kstest(draws, law.cdf).pvalue > 1e-3
@@ -423,9 +412,82 @@ class TestGibbsProbitSampler:
         # so the latents of u_n, s_n times them, take the sign of their labels
         theta = posteriors.probit_mode(shard)
         latents = posteriors.sample_truncated_normal(
-            shard.signed_covariates @ theta, np.random.default_rng(15)
+            shard.signed_covariates @ theta, np.random.default_rng(15).uniform(size=25)
         )
         assert (((2 * v - 1) * latents > 0) == (v == 1)).all()
+
+
+
+def chain_shards(sizes, seed):
+    """Probit shards of the given sizes on a 5-covariate set at the probit
+    workloads' theta*, under the underweighted prior K * 20."""
+    rng = np.random.default_rng(seed)
+    truth = np.array([0.1103, -0.5832, 0.6417, 1.8279, 0.4968])
+    u = rng.standard_normal((sum(sizes), 5))
+    v = (rng.uniform(size=u.shape[0]) < ndtr(u @ truth)).astype(int)
+    ends = np.cumsum(sizes)
+    return [
+        posteriors.ProbitShard(u[end - n : end], v[end - n : end], 20.0 * len(sizes))
+        for n, end in zip(sizes, ends)
+    ]
+
+
+def worker_streams(k, seed=0):
+    return [np.random.default_rng([seed, j]) for j in range(k)]
+
+
+class TestGibbsProbitChains:
+    def heterogeneous_shards(self):
+        """A zeta = 0.6 partition of 2 000 rows over 6 workers, plus a shard
+        with one row far on the wrong side of its label, whose latent takes
+        the log-space tail branch."""
+        from wcmc.harness.data import LabeledDataset, partition
+
+        (whole,) = chain_shards([2000], 21)
+        data = LabeledDataset(whole.covariates, whole.labels)
+        idx = partition(data, 6, np.random.default_rng(22), rule="heterogeneous", zeta=0.6)
+        shards = [posteriors.ProbitShard(data.covariates[i], data.labels[i], 140.0) for i in idx]
+        (tail,) = chain_shards([150], 23)
+        u = np.vstack([tail.covariates, [[0.0, 0.0, 0.0, 4.0, 0.0]]])  # margin near 7 at theta*
+        shards.append(posteriors.ProbitShard(u, np.append(tail.labels, 0), 140.0))
+        return shards
+
+    def test_each_chain_is_its_one_shard_run_bit_for_bit(self):
+        equal = chain_shards([425] * 4, 20)
+        unequal = self.heterogeneous_shards()
+        assert len({shard.size for shard in unequal}) == len(unequal)
+        tail = unequal[-1]
+        signed = tail.signed_covariates @ posteriors.probit_mode(tail)
+        assert -signed.min() > posteriors._TAIL_CUTOFF  # the tail branch runs
+        for shards in (equal, unequal):
+            stacked = posteriors.gibbs_probit_chains(shards, 40, worker_streams(len(shards)), 15)
+            assert stacked.shape == (40, len(shards), 5)
+            for j, (shard, rng) in enumerate(zip(shards, worker_streams(len(shards)))):
+                alone = posteriors.gibbs_probit_sampler(shard, 40, rng, burn_in=15)
+                assert np.array_equal(stacked[:, j], alone)
+
+    def test_a_longer_run_repeats_the_shorter_runs_draws(self):
+        shards = self.heterogeneous_shards()
+        short = posteriors.gibbs_probit_chains(shards, 30, worker_streams(len(shards)))
+        longer = posteriors.gibbs_probit_chains(shards, 30 + 7, worker_streams(len(shards)))
+        assert np.array_equal(longer[:30], short)
+
+    def test_each_sweep_takes_n_k_uniforms_then_d_normals_from_stream_k(self):
+        shards = chain_shards([30, 50, 20], 24)
+        rngs = worker_streams(3, seed=5)
+        posteriors.gibbs_probit_chains(shards, 6, rngs, burn_in=2)
+        for shard, rng, fresh in zip(shards, rngs, worker_streams(3, seed=5)):
+            for _ in range(8):
+                fresh.uniform(size=shard.size)
+                fresh.standard_normal(5)
+            assert rng.uniform() == fresh.uniform()
+
+    def test_one_generator_per_shard(self):
+        shards = chain_shards([30, 50], 25)
+        with pytest.raises(ValueError, match="one generator per shard, got 1 for 2 shards"):
+            posteriors.gibbs_probit_chains(shards, 5, worker_streams(1))
+        with pytest.raises(ValueError, match="got 0 for 0 shards"):
+            posteriors.gibbs_probit_chains([], 5, [])
 
 
 def mode_shards():

@@ -11,7 +11,12 @@ first in even pairs and the change first in odd pairs, with the workloads
 interleaved within each pair, so a drift in machine load falls on both
 sides alike.  The record holds, per workload and end-to-end metric, each
 side's median, quartiles (inclusive method) and runs in pair order, the
-number of pairs the change won and the parent-over-change median ratio.
+number of pairs the change won, the parent-over-change median ratio and
+two verdicts: ``gain_shown``, true when the change won at least nine tenths
+of the pairs and its median is below the parent's by more than the parent's
+interquartile distance, and ``resolved``, false when that distance exceeds
+the metric's bound in the change's ``BENCHMARK.json`` times the parent's
+median, unless every change run reads better than every parent run.
 ``--trace-seed N`` adds traced rounds on seeds N, N+1 and N+2, each
 side and workload once per seed, with the sides alternating as in the
 pairs; the record holds each per-layer metric's median, quartiles and runs
@@ -106,10 +111,29 @@ def side_summary(values: list[float]) -> dict:
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4), "runs": runs}
 
 
-def summarize(runs: list[dict], workloads) -> dict:
+def verdict(parent: list[float], change: list[float], bound: float) -> dict:
+    """The paired-run rules for one lower-is-better metric, runs in pair order.
+
+    A gain is shown when the change wins at least nine tenths of the pairs,
+    ties counting for neither side, and the medians differ by more than the
+    parent's interquartile distance.  The metric is resolved when that
+    distance is within ``bound`` relative to the parent's median, or when
+    every change run reads better than every parent run.
+    """
+    q1, median, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    won = sum(c < p for p, c in zip(parent, change))
+    return {
+        "change_better_in_pairs": won,
+        "gain_shown": won >= 0.9 * len(parent) and median - statistics.median(change) > q3 - q1,
+        "resolved": (q3 - q1) <= bound * median or max(change) < min(parent),
+    }
+
+
+def summarize(runs: list[dict], workloads, bounds: dict) -> dict:
     """Per workload: correctness, operation counts and each metric's paired summary.
 
-    ``runs`` come in the order ``run_pairs`` made them, so each side's are in pair order.
+    ``runs`` come in the order ``run_pairs`` made them, so each side's are in
+    pair order; ``bounds`` maps each metric to its relative regression bound.
     """
     out = {}
     for workload in workloads:
@@ -129,12 +153,11 @@ def summarize(runs: list[dict], workloads) -> dict:
             values = {
                 side: [r["metrics"][metric]["value"] for r in by_side[side]] for side in SIDES
             }
-            won = sum(c < p for p, c in zip(values["parent"], values["change"]))
             medians = {side: statistics.median(values[side]) for side in SIDES}
             entry[metric] = {
                 **{side: side_summary(values[side]) for side in SIDES},
-                "change_better_in_pairs": won,
                 "parent_median_over_change_median": round(medians["parent"] / medians["change"], 3),
+                **verdict(values["parent"], values["change"], bounds[metric]),
             }
         entry["pairs"] = len(by_side["change"])
         out[workload] = entry
@@ -192,6 +215,7 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = declared(checkouts["change"])
     seconds = bench["run_seconds"]
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     if args.workloads:
         workloads = [w for w in args.workloads.split(",") if w]
     else:
@@ -207,10 +231,13 @@ def main(argv=None) -> int:
             "workloads interleaved within each pair. Each side ran its own checkout's "
             "benchmark command. Times are reference seconds (speed-probe scaled). Medians "
             "and quartiles (inclusive method) over each side's runs; 'runs' lists them in "
-            "pair order. Written by tools/bench_pairs.py."
+            "pair order. gain_shown: the change won at least 9/10 of the pairs and the "
+            "medians differ by more than the parent's q3 - q1. resolved: false when the "
+            "parent's q3 - q1 exceeds the metric's BENCHMARK.json bound times its median, "
+            "unless every change run beats every parent run. Written by tools/bench_pairs.py."
         ),
         "machine": machine(),
-        "workloads": summarize(runs, workloads),
+        "workloads": summarize(runs, workloads, bounds),
     }
     if args.trace_seed is not None:
         seeds = list(range(args.trace_seed, args.trace_seed + TRACED_ROUNDS))
