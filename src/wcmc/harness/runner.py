@@ -16,21 +16,22 @@ nodes, summarised into the moment and test prediction; only when the
 quadrature gives up does a Gibbs chain of ``reference.n_samples`` draws after
 ``reference.burn_in`` sweeps take its place.  The workers' chains run as one
 sweep over all K shards (``gibbs_probit_chains``), each on its own substream.
-The reference and the workers' draws are cached in the process, each under
-what it reads (``_cache_keys``): the reference under the data, the prior and
-the ``reference`` section, the draws under the data, the prior, K, the
-partition and S.  Both share ``CHAIN_CACHE_BYTES``, the least recently used
-entry evicted first.  So an SNR sweep, or configs that differ only in their
-link, build each trial's world once, and a ``t``, ``k`` or ``zeta`` sweep
-computes one reference per trial.  The toy's world is closed-form plus a few
-draws, too cheap to cache.  Each ``--parallel`` pool process has its own
-cache and ``sweep`` starts a pool per point, so parallel sweep points do not
-share it.  Result files are ``results``'s.
+The reference and the workers' draws are cached in the process, each keyed by
+the (seed, trial) whose substreams it draws from, the prior and a digest of
+the arrays it reads (``_digest``): the reference by the data, the test rows
+and the ``reference`` section, the draws by the data, the shards' indices and
+S.  Both share ``CHAIN_CACHE_BYTES``, the least recently used entry evicted
+first.  So an SNR sweep, or configs that differ only in their link, build
+each trial's world once, a ``t``, ``k`` or ``zeta`` sweep computes one
+reference per trial, and changed data rebuilds.  The toy's world is
+closed-form plus a few draws, too cheap to cache.  Each ``--parallel`` pool
+process has its own cache and ``sweep`` starts a pool per point, so parallel
+sweep points do not share it.  Result files are ``results``'s.
 """
 
 from __future__ import annotations
 
-import os
+import hashlib
 import time
 from collections import OrderedDict
 from collections.abc import Callable
@@ -125,20 +126,23 @@ def _draw_count(config: ExperimentConfig) -> int:
     return max(config.blocks.values(), default=0)
 
 
-def _worker_draws(config: ExperimentConfig, trial: int, draw) -> np.ndarray:
-    """The (s_max, K, d) stack ``draw(s_max, rngs)`` makes from the workers'
-    substreams, worker k's in ``rngs[k]``; no draws when no scheme transmits."""
-    k, s = config.n_workers, _draw_count(config)
-    if not s:
-        return np.empty((0, k, config.dim))
-    return draw(s, [substream(config.seed, trial, "worker", j) for j in range(k)])
+def _worker_rngs(config: ExperimentConfig, trial: int) -> list[Generator]:
+    """The workers' substreams, worker k's at index k."""
+    return [substream(config.seed, trial, "worker", k) for k in range(config.n_workers)]
+
+
+def _digest(*arrays) -> tuple:
+    """Per array its shape, dtype and content digest, None for an absent one:
+    a cache key part that tells arrays apart without holding their bytes."""
+    digest = lambda a: hashlib.blake2b(np.ascontiguousarray(a)).digest()
+    return tuple(None if a is None else (a.shape, a.dtype.str, digest(a)) for a in arrays)
 
 
 def gaussian_world(config: ExperimentConfig, trial: int) -> World:
     subs = gen_gaussian_scenario(config.n_workers, config.dim, config.subposteriors)
     _, global_cov = gaussian_product([s.cov for s in subs])
-    draw = lambda s, rngs: np.stack([sub.sample(rng, s) for sub, rng in zip(subs, rngs)], axis=1)
-    draws = _worker_draws(config, trial, draw)
+    s, rngs = _draw_count(config), _worker_rngs(config, trial)
+    draws = np.stack([sub.sample(rng, s) for sub, rng in zip(subs, rngs)], axis=1)
     # Zero-mean target: the exact covariance doubles as the second moment.
     return World(draws, global_cov, gaussian_joint_grad_fn(global_cov), reference_error=0.0)
 
@@ -147,8 +151,6 @@ def probit_world(config: ExperimentConfig, trial: int) -> World:
     """Data, partition and minibatch sizes are checked on every build, before
     any chain runs; data that cannot serve the config is a ``ConfigError``."""
     try:
-        # the keys before the load: a CSV rewritten meanwhile misses next time
-        reference_key, workers_key = _cache_keys(config, trial)
         dataset, test_u = _load_data(config, substream(config.seed, trial, "data"))
     except OSError as exc:  # a missing or unreadable csv.path
         path = config.csv.path
@@ -173,13 +175,18 @@ def probit_world(config: ExperimentConfig, trial: int) -> World:
             raise ConfigError(
                 f"{name}: minibatch size n_b={n_b} exceeds the {dataset.size} training rows"
             )
+    data = _digest(dataset.covariates, dataset.labels)
+    inputs = (config.seed, trial, config.prior_variance, data)  # what both computations read
     moment, prediction, error = _cached(
-        reference_key, lambda: _reference(config, trial, dataset, test_u)
+        ("reference", *inputs, _digest(test_u), config.reference),
+        lambda: _reference(config, trial, dataset, test_u),
     )
     k_prior = config.n_workers * config.prior_variance  # each shard takes the prior^(1/K)
     shards = [ProbitShard(dataset.covariates[i], dataset.labels[i], k_prior) for i in shards_idx]
-    draw = lambda s, rngs: gibbs_probit_chains(shards, s, rngs)
-    (draws,) = _cached(workers_key, lambda: (_worker_draws(config, trial, draw),))
+    s = _draw_count(config)  # no draws, and no cache entry, when no scheme transmits
+    chains = lambda: (gibbs_probit_chains(shards, s, _worker_rngs(config, trial)),)
+    key = ("workers", *inputs, _digest(*shards_idx), s)
+    (draws,) = _cached(key, chains) if s else (np.empty((0, config.n_workers, config.dim)),)
     grad = probit_joint_grad_fn(dataset.covariates, dataset.labels, config.prior_variance)
     return World(draws, moment, grad, dataset.size, test_u, prediction, error)
 
@@ -200,18 +207,6 @@ def _reference(config, trial, dataset, test_u) -> tuple:
         samples, weights, error = quadrature
     prediction = None if test_u is None else ensemble_predict(samples, test_u, weights)
     return second_moment(samples, weights), prediction, error
-
-
-def _cache_keys(config: ExperimentConfig, trial: int) -> tuple[tuple, tuple]:
-    """The reference's cache key and the worker draws': what each reads.  Both
-    read the data and the prior; link settings are in neither."""
-    data = config.data
-    if config.scenario == "probit-csv":
-        stat = os.stat(config.csv.path)  # which file, and which version of it
-        data = (config.csv, stat.st_dev, stat.st_ino, stat.st_mtime_ns, stat.st_size)
-    inputs = (config.seed, trial, config.scenario, data, config.dim, config.prior_variance)
-    workers = (config.n_workers, config.partition, _draw_count(config))
-    return ("reference", *inputs, config.reference), ("workers", *inputs, *workers)
 
 
 def _load_data(config: ExperimentConfig, rng: Generator):

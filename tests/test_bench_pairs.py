@@ -111,7 +111,8 @@ def test_main_writes_the_record(checkouts, tmp_path):
     assert record["change"] == "stub"
     assert record["command"] == "python3 stub.py --workload W --seed S --seconds 2 --trace 0"
     assert set(record["workloads"]["toy-snr"]) == {
-        "correct", "failed_operations", "attempted_operations", "trial_s", "setup_s", "peak_rss_mb", "pairs",
+        "correct", "failed_operations", "attempted_operations", "attempted_per_run",
+        "trial_s", "setup_s", "peak_rss_mb", "pairs",
     }
     # the bound is the change's: the parent's trial_s runs 12 and 13 spread
     # 4 % of their median, within the change's 10 % and past the parent's 1 %,
@@ -132,6 +133,17 @@ def test_main_writes_the_record(checkouts, tmp_path):
     assert traced["toy-snr"]["change"]["wvcmc.run_s"] == {"median": 3.0, "q1": 2.5, "q3": 3.5, "runs": [2.0, 3.0, 4.0]}
     assert traced["toy-snr"]["change"]["channel.transmit_s"]["runs"] == [0.0, 0.5, 0.0]
     assert set(traced["toy-snr"]["parent"]) == {"wvcmc.run_s", "channel.transmit_s"}
+
+
+def test_each_runs_attempted_count_in_pair_order(checkouts):
+    # the parent's runs attempt the seed's count of operations, the change's ten more
+    for side, extra in (("parent", ""), ("change", " + 10")):
+        stub = STUB.replace('"attempted": 3', f'"attempted": seed{extra}')
+        (checkouts[side] / "stub.py").write_text(stub)
+    runs = bench_pairs.run_pairs(checkouts, ["toy-snr"], 4, 20, 1.0)
+    entry = bench_pairs.summarize(runs, ["toy-snr"], dict(zip(bench_pairs.METRICS, BOUNDS)))["toy-snr"]
+    assert entry["attempted_per_run"] == {"parent": [20, 21, 22, 23], "change": [30, 31, 32, 33]}
+    assert entry["attempted_operations"] == {"parent": 86, "change": 126}
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import os
 import re
 
 import numpy as np
@@ -655,6 +656,44 @@ class TestWorld:
         runner.build_world(cfg, 0)
         assert len(chains) == 3 and len(references) == 1  # the unchanged file hits
 
+    def test_csv_rewritten_in_place_with_its_stat_kept_rebuilds(self, tmp_path, monkeypatch):
+        # one label byte flipped in place, the mtime put back, as cp -p, rsync -t
+        # or touch -r leave it: device, inode, size and mtime all read as before
+        path = tmp_path / "data.csv"
+        cfg = probit_config(scenario="probit-csv", csv={"path": str(path)}, data=None)
+        export_csv(gen_probit_data(300, 2, [0.5, -0.5], np.random.default_rng(1)), path)
+        runner.build_world(cfg, 0)
+        before = path.stat()
+        text = path.read_bytes()
+        at = text.index(b"\r\n", text.index(b"\n")) - 1  # the first row's label
+        assert text[at : at + 1] in (b"0", b"1")
+        with open(path, "r+b") as fh:
+            fh.seek(at)
+            fh.write(b"1" if text[at : at + 1] == b"0" else b"0")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        stat = lambda st: (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+        assert stat(after) == stat(before) and path.read_bytes() != text
+        chains, references = count_chains(monkeypatch), record_references(monkeypatch)
+        b = runner.build_world(cfg, 0)
+        assert len(chains) == 3 and len(references) == 1
+        runner._CHAINS.clear()
+        cold = runner.build_world(cfg, 0)
+        for field in WORLD_FIELDS:
+            np.testing.assert_array_equal(getattr(b, field), getattr(cold, field))
+
+    def test_configs_that_differ_in_their_test_rows_share_the_worker_draws(self, monkeypatch):
+        # the test rows are drawn after the training set, so n_test leaves the
+        # data, the partition and the chains as they are; only the reference
+        # reads them
+        chains, references = count_chains(monkeypatch), record_references(monkeypatch)
+        a = runner.build_world(probit_config(), 0)
+        data = {"n": 300, "theta_star": [0.5, -0.5], "n_test": 40}
+        b = runner.build_world(probit_config(data=data), 0)
+        assert len(references) == 2 and chains == [100, 100, 100]
+        assert a.test_covariates.shape == (20, 2) and b.test_covariates.shape == (40, 2)
+        np.testing.assert_array_equal(a.worker_samples, b.worker_samples)
+
     def test_byte_bound_evicts_the_least_recently_used(self, monkeypatch):
         runner.build_world(probit_config(seed=1), 0)
         entry = runner.chain_cache_bytes()
@@ -687,6 +726,14 @@ class TestWorld:
             runner._CHAINS.clear()
             cold.extend(run_experiment(apply_axis(cfg, "snr", value)))
         assert strip_timing(swept) == strip_timing(cold)
+
+    def test_parallel_probit_sweep_matches_serial(self):
+        # each point's pool processes build their own worlds; the rows are the serial ones
+        cfg = probit_config(trials=2)
+        values = [0.0, 20.0]
+        parallel = sweep(cfg, "snr", values, parallel=2)
+        runner._CHAINS.clear()
+        assert strip_timing(parallel) == strip_timing(sweep(cfg, "snr", values))
 
     def test_block_count_sweep_computes_one_reference_per_trial(self, monkeypatch):
         cfg = probit_config(trials=2)

@@ -11,13 +11,15 @@ first in even pairs and the change first in odd pairs, with the workloads
 interleaved within each pair, so a drift in machine load falls on both
 sides alike.  The record holds, per workload and end-to-end metric, each
 side's median, quartiles (inclusive method) and runs in pair order, the
-number of pairs the change won, the parent-over-change median ratio and
-two verdicts: ``gain_shown``, true when the change won at least nine tenths
-of the pairs and its median is below the parent's by more than the parent's
-interquartile distance, and ``resolved``, false when that distance exceeds
-the metric's bound in the change's ``BENCHMARK.json`` times the parent's
-median, unless every change run reads better than every parent run.
-``--trace-seed N`` adds traced rounds on seeds N, N+1 and N+2, each
+operations each side attempted in all and per run in pair order (a metric
+that grows with the rounds a run made, such as ``peak_rss_mb``, is read
+beside them), the number of pairs the change won, the parent-over-change
+median ratio and two verdicts: ``gain_shown``, true when the change won at
+least nine tenths of the pairs and its median is below the parent's by more
+than the parent's interquartile distance, and ``resolved``, false when that
+distance exceeds the metric's bound in the change's ``BENCHMARK.json`` times
+the parent's median, unless every change run reads better than every parent
+run.  ``--trace-seed N`` adds traced rounds on seeds N, N+1 and N+2, each
 side and workload once per seed, with the sides alternating as in the
 pairs; the record holds each per-layer metric's median, quartiles and runs
 per side, leaving out metrics that read zero in every traced run.
@@ -148,6 +150,7 @@ def summarize(runs: list[dict], workloads, bounds: dict) -> dict:
             "attempted_operations": {
                 side: sum(r["attempted"] for r in by_side[side]) for side in SIDES
             },
+            "attempted_per_run": {side: [r["attempted"] for r in by_side[side]] for side in SIDES},
         }
         for metric in METRICS:
             values = {
@@ -230,11 +233,12 @@ def main(argv=None) -> int:
             "sides, the parent first in even pairs and the change first in odd pairs, "
             "workloads interleaved within each pair. Each side ran its own checkout's "
             "benchmark command. Times are reference seconds (speed-probe scaled). Medians "
-            "and quartiles (inclusive method) over each side's runs; 'runs' lists them in "
-            "pair order. gain_shown: the change won at least 9/10 of the pairs and the "
-            "medians differ by more than the parent's q3 - q1. resolved: false when the "
-            "parent's q3 - q1 exceeds the metric's BENCHMARK.json bound times its median, "
-            "unless every change run beats every parent run. Written by tools/bench_pairs.py."
+            "and quartiles (inclusive method) over each side's runs; 'runs' and "
+            "'attempted_per_run' list them in pair order. gain_shown: the change won at "
+            "least 9/10 of the pairs and the medians differ by more than the parent's "
+            "q3 - q1. resolved: false when the parent's q3 - q1 exceeds the metric's "
+            "BENCHMARK.json bound times its median, unless every change run beats every "
+            "parent run. Written by tools/bench_pairs.py."
         ),
         "machine": machine(),
         "workloads": summarize(runs, workloads, bounds),
