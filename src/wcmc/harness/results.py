@@ -30,6 +30,7 @@ COLUMNS = (
     "wall_ms",
     "seed",
     "ref_err",
+    "halvings",
 )
 GROUP_COLUMNS = COLUMNS[:5]  # a scheme at a sweep point
 _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -166,19 +167,7 @@ def format_summary(summary: list[dict]) -> str:
     headers = [*GROUP_COLUMNS, "n", "err2_mean", "err2_p5", "err2_p95"]
     if has_kl:
         headers += ["kl_mean", "kl_p5", "kl_p95"]
-    lines = []
-    table = []
-    for entry in summary:
-        row = []
-        for h in headers:
-            value = entry.get(h, "")
-            if isinstance(value, float):
-                row.append(f"{value:.6g}")
-            else:
-                row.append(str(value))
-        table.append(row)
-    widths = [max(len(h), *(len(r[i]) for r in table)) for i, h in enumerate(headers)]
-    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    for row in table:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
+    cell = lambda value: f"{value:.6g}" if isinstance(value, float) else str(value)
+    table = [headers] + [[cell(entry.get(h, "")) for h in headers] for entry in summary]
+    widths = [max(len(row[i]) for row in table) for i in range(len(headers))]
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in table)

@@ -242,6 +242,7 @@ def build_world(config: ExperimentConfig, trial: int) -> World:
 class SchemeOutput:
     samples: np.ndarray
     computed_gradients: int = 0
+    halvings: int | None = None  # wvcmc's rejected step sizes
 
 
 class Link:
@@ -313,21 +314,15 @@ class Link:
 
     def run_wvcmc(self, mode, params) -> SchemeOutput:
         cfg, n_data = self.config, self.world.n_data
-        k, ys = cfg.n_workers, self.ys[mode]
+        ys, init = self.ys[mode], self.oma_start if mode == "oma" else self.noma_start
+        encs = [e.matrix() for e in self.encs[mode]]
+        rng = substream(cfg.seed, self.trial, f"wvcmc-{mode}")
         result = run_wvcmc(
-            ys,
-            self.oma_start if mode == "oma" else self.noma_start,
-            [e.matrix() for e in self.encs[mode]],
-            k,
-            self.world.joint_grad,
-            params.eta,
-            params.t_m,
-            substream(cfg.seed, self.trial, f"wvcmc-{mode}"),
-            n_data=n_data,
-            minibatch_size=params.n_b,
+            ys, init, encs, cfg.n_workers, self.world.joint_grad, params.eta, params.t_m, rng,
+            n_data=n_data, minibatch_size=params.n_b,
         )
         batch = params.n_b if params.n_b is not None else (n_data or 1)
-        return SchemeOutput(result.samples, computed_gradients=params.t_m * ys.shape[0] * batch)
+        return SchemeOutput(result.samples, params.t_m * ys.shape[0] * batch, result.halvings)
 
     def run_sgld(self, mode, params) -> SchemeOutput:
         cfg, n_data = self.config, self.world.n_data
@@ -359,6 +354,7 @@ class Link:
             "wall_ms": wall_ms,
             "seed": cfg.seed,
             "ref_err": "" if world.reference_error is None else world.reference_error,
+            "halvings": "" if out.halvings is None else out.halvings,
         }
 
 

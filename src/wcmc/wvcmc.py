@@ -19,9 +19,9 @@ entropies H[p_k] enter that mean as weight-independent constants.
 The bound and its gradient are written once over the receiver stacks:
 numpy's batched linalg runs the same LAPACK routine on each receiver's
 matrix as one call per receiver would, with no Python loop over receivers.
-The gradient's entropy term is the derivative of the two log-determinants
-the bound reads, one batched solve each, and the check that a step keeps
-every W_r E_r and W_r clear of singularity reads singular values only.
+The bound, its gradient and the step check read one stack of 2R matrices:
+its slogdet, one batched solve with its members, and a determinant bound
+that spares the step check's singular values unless it cannot decide.
 """
 
 from __future__ import annotations
@@ -34,9 +34,10 @@ from .aggregators import apply_weights
 
 # A step is rejected (and retried at half length, up to this many times) when
 # it makes any W_r E_r or W_r non-finite or drives it within this relative
-# margin of singularity.
+# margin of singularity; a ratio bound above _CLEARANCE spares the SVD.
 _MAX_HALVINGS = 5
 _SINGULAR_RTOL = 1e-12
+_CLEARANCE = 1e-4
 
 
 def _stack_encodings(encodings) -> np.ndarray:
@@ -44,6 +45,11 @@ def _stack_encodings(encodings) -> np.ndarray:
     if mats.ndim != 3:
         raise ValueError(f"expected a stack of (m_r, d) encoders, got shape {mats.shape}")
     return mats
+
+
+def _barrier_stack(w: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The 2R matrices the log-det barrier reads: each W_r E_r, then each W_r W_r^T."""
+    return np.concatenate([w @ e, w @ np.swapaxes(w, 1, 2)])
 
 
 def entropy_lb(weights, encodings, n0: float, n_workers: int, subposterior_entropies) -> float:
@@ -62,8 +68,7 @@ def entropy_lb(weights, encodings, n0: float, n_workers: int, subposterior_entro
         raise ValueError("need one subposterior entropy per worker")
     n = n_workers + r
     total = 0.5 * d * (np.log(n) + (r / n) * np.log(2.0 * np.pi * np.e * n0))
-    # the R products W_r E_r, then the R Gram matrices W_r W_r^T
-    sign, logdet = np.linalg.slogdet(np.concatenate([w @ e, w @ np.swapaxes(w, 1, 2)]))
+    sign, logdet = np.linalg.slogdet(_barrier_stack(w, e))
     if np.any(sign == 0) or not np.all(np.isfinite(logdet)):
         raise np.linalg.LinAlgError("some W_r E_r or W_r W_r^T is singular")
     acc = ents.sum() + (n_workers / r) * logdet[:r].sum() + 0.5 * logdet[r:].sum()
@@ -93,9 +98,10 @@ def grad(weights, ys, encodings, n_workers, joint_grad, idx=None) -> np.ndarray:
     s, r = ys.shape[0], w.shape[0]
     g = np.asarray(joint_grad(apply_weights(w, ys), idx), dtype=float)
     data = -(g.T @ np.moveaxis(ys, 1, 0)) / s
-    ent = np.linalg.solve(np.swapaxes(w @ e, 1, 2), (n_workers / r) * np.swapaxes(e, 1, 2))
-    ent += np.linalg.solve(w @ np.swapaxes(w, 1, 2), w)
-    return data - ent / (n_workers + r)
+    mats = _barrier_stack(w, e)
+    mats[:r] = np.swapaxes(mats[:r], 1, 2)
+    ent = np.linalg.solve(mats, np.concatenate([(n_workers / r) * np.swapaxes(e, 1, 2), w]))
+    return data - (ent[:r] + ent[r:]) / (n_workers + r)
 
 
 # Per-mode adapters.  OMA: (K, d, m_r) weights, K encoders, (S, K, m_r)
@@ -135,18 +141,29 @@ def grad_noma(weight, ys, encoding, n_workers, joint_grad, idx=None) -> np.ndarr
     )[0]
 
 
-def _clear(mats: np.ndarray) -> bool:
-    """Whether every matrix of the stack is finite and clear of singularity."""
-    if not np.all(np.isfinite(mats)):
-        return False
-    sv = np.linalg.svd(mats, compute_uv=False)  # largest first
-    return not np.any(sv[:, -1] <= _SINGULAR_RTOL * sv[:, 0])
-
-
 def _regular(w: np.ndarray, e: np.ndarray) -> bool:
-    """Whether every W_r E_r of the (R, d, m_r) weight and (R, m_r, d)
-    encoder stacks and every W_r is finite and clear of singularity."""
-    return _clear(w @ e) and _clear(w)
+    """Whether every W_r E_r of the (R, d, m_r) weight and (R, m_r, d) encoder
+    stacks and every W_r is finite with sigma_min > _SINGULAR_RTOL sigma_max.
+
+    A d x d A has sigma_min / sigma_max >= |det A| / (2 (||A||_F^2 / d)^(d/2))
+    (Guggenheimer, Edelman and Johnson, College Math. J. 1995), and W_r W_r^T's
+    ratio is W_r's squared, so one slogdet of the barrier stack clears most
+    stacks; the SVD decides only where a bound is below _CLEARANCE.  Rounding
+    cannot lift a ratio <= 1e-12 past it: on W_r E_r both tests read one product
+    through backward-stable LU and SVD, so its bound is <~ 1e-12 + d^2 eps, and
+    forming W_r W_r^T moves its eigenvalues by <~ m_r d eps sigma_max^2, so W_r's
+    is <~ sqrt(m_r d eps): 1e-7 at d = 5, m_r = 10, below 1e-4 for m_r d < 1e7.
+    """
+    mats, (r, d) = _barrier_stack(w, e), w.shape[:2]
+    fro2 = np.einsum("rij,rij->r", mats, mats)
+    if 1e-300 < fro2.min() and fro2.max() < np.inf:  # finite, with no sum underflowed
+        log_bound = np.linalg.slogdet(mats)[1] - 0.5 * d * np.log(fro2 / d) - np.log(2.0)
+        if np.all(log_bound > np.repeat([1, 2], r) * np.log(_CLEARANCE)):
+            return True
+    if not (np.isfinite(mats[:r]).all() and np.isfinite(w).all()):
+        return False
+    sv = [np.linalg.svd(m, compute_uv=False) for m in (mats[:r], w)]  # largest first
+    return not any(np.any(s[:, -1] <= _SINGULAR_RTOL * s[:, 0]) for s in sv)
 
 
 @dataclass

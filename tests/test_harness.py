@@ -850,6 +850,21 @@ class TestResultFiles:
         else:
             [value] = ref_err
             assert isinstance(value, float) and 0.0 <= value < 1e-5
+        # wvcmc's rejected step sizes, and "" on every scheme that takes no step
+        for row in rows:
+            if row["scheme"].startswith("wvcmc"):
+                assert isinstance(row["halvings"], int) and row["halvings"] >= 0
+            else:
+                assert row["halvings"] == ""
+
+    def test_wvcmc_rows_carry_the_runs_halvings(self, monkeypatch):
+        run = runner.run_wvcmc
+        halved = lambda *a, **k: dataclasses.replace(run(*a, **k), halvings=7)
+        monkeypatch.setattr(runner, "run_wvcmc", halved)
+        rows = run_experiment(toy_config(trials=1))
+        assert [(row["scheme"], row["halvings"]) for row in rows] == [
+            ("gcmc", ""), ("wgcmc-oma", ""), ("wvcmc-noma", 7)
+        ]
 
     def test_report_reads_a_file_written_before_columns_were_appended(self, tmp_path):
         # the oldest readable file: the group columns and err2, no kl

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
 from wcmc import aggregators, channel, posteriors, wvcmc
@@ -537,6 +539,92 @@ class TestStepCheck:
         assert wvcmc._regular(w, e) is True
         w[0, -1] = 2 * w[0, 0]
         assert wvcmc._regular(w, e) is False
+
+
+PROBIT = {"data": {"n": 200, "n_test": 0}, "reference": {"n_samples": 1000, "burn_in": 10}}
+
+
+def svd_regular(w, e):
+    """The step check as one SVD per matrix: every W_r E_r and every W_r is
+    finite, with sigma_min > 1e-12 sigma_max."""
+    for mat in [*(w @ e), *w]:
+        if not np.all(np.isfinite(mat)):
+            return False
+        sv = np.linalg.svd(mat, compute_uv=False)
+        if sv[-1] <= 1e-12 * sv[0]:
+            return False
+    return True
+
+
+def with_ratio(rng, rows, cols, ratio):
+    """A random (rows, cols) matrix, rows <= cols, whose largest singular value
+    is 0.8-1 and whose smallest is ``ratio``."""
+    u = np.linalg.qr(rng.standard_normal((rows, rows)))[0]
+    v = np.linalg.qr(rng.standard_normal((cols, rows)))[0]
+    return (u * np.append(rng.uniform(0.8, 1.0, rows - 1), ratio)) @ v.T
+
+
+class TestStepCheckBound:
+    """The determinant bound only spares the SVD: every decision is the SVD's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        layout=st.sampled_from([("oma", 1), ("oma", 2), ("noma", 1), ("noma", 2)]),
+        d=st.integers(2, 6),
+        member=st.sampled_from(["product", "weight", None]),
+        ratio=st.sampled_from([5e-13, 2e-12, 0.5 * wvcmc._CLEARANCE, 2 * wvcmc._CLEARANCE]),
+    )
+    def test_decides_as_the_svd_reference(self, seed, layout, d, member, ratio):
+        # one member of a random stack with sigma_min / sigma_max on either
+        # side of 1e-12 and of the clearance; the others well conditioned
+        rng = np.random.default_rng(seed)
+        mode, reps = layout
+        receivers = int(rng.integers(1, 6)) if mode == "oma" else 1
+        w = np.stack([with_ratio(rng, d, reps * d, 0.5) for _ in range(receivers)])
+        e = np.stack([np.linalg.pinv(wr) @ with_ratio(rng, d, d, 0.5) for wr in w])
+        j = int(rng.integers(receivers))
+        if member == "product":
+            e[j] = np.linalg.pinv(w[j]) @ with_ratio(rng, d, d, ratio)
+        elif member == "weight":
+            w[j] = with_ratio(rng, d, reps * d, ratio)
+        scales = 10.0 ** rng.uniform(-3, 3, (2, receivers, 1, 1))
+        w, e = scales[0] * w, scales[1] * e
+        assert wvcmc._regular(w, e) is svd_regular(w, e)
+
+    def test_inconclusive_bound_falls_back_to_the_svd(self, monkeypatch):
+        # W_2 E_2 has sigma_min / sigma_max = 1e-8: regular, but its bound is
+        # below the clearance, so only the SVD accepts it
+        rng = np.random.default_rng(5)
+        w, encs, _ = gaussian_config(rng, 4, 3, reps=2)
+        e = np.stack([enc.matrix() for enc in encs])
+        e[2] = np.linalg.pinv(w[2]) @ with_ratio(rng, 3, 3, 1e-8)
+        assert svd_regular(w, e)
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a.shape) or svd(a, **kw))
+        assert wvcmc._regular(w[:2], e[:2]) is True
+        assert calls == []  # cleared by the bound
+        assert wvcmc._regular(w, e) is True
+        assert calls == [(4, 3, 3), (4, 3, 6)]  # the products' SVD, then the weights'
+
+    @pytest.mark.parametrize("scenario", ["gaussian-toy", "probit-synthetic"])
+    def test_one_step_is_init_minus_eta_times_the_gradient(self, scenario):
+        # the toy's OMA weights (m_r = d) and a probit NOMA weight (m_r = 2d)
+        mode, probit = ("oma", {}) if scenario == "gaussian-toy" else ("noma", PROBIT)
+        link, cfg = start_link(scenario=scenario, **probit)
+        encs = [enc.matrix() for enc in link.encs[mode]]
+        assert encs[0].shape[0] == (1 if mode == "oma" else 2) * cfg.dim
+        init = link.oma_start if mode == "oma" else link.noma_start
+        ys, k, joint_grad = link.ys[mode], cfg.n_workers, link.world.joint_grad
+        eta = 1e-3 if mode == "oma" else 1e-5
+        result = wvcmc.run_wvcmc(
+            ys, init, encs, k, joint_grad, eta, 1, np.random.default_rng(0),
+            n_data=link.world.n_data,
+        )
+        assert result.halvings == 0
+        expected = init - eta * wvcmc.grad(init, ys, encs, k, joint_grad)
+        np.testing.assert_array_equal(result.weights, expected)
 
 
 def start_link(**overrides):
