@@ -13,8 +13,8 @@ Weights are plain (R, d, m_r) stacks, one matrix per receiver, applied to
 (S, R, m_r) received blocks: R = K under orthogonal access, where each
 worker has its own receiver, and R = 1 under non-orthogonal access, where
 the workers superimpose on one.  Receiver r carries m = K/R workers, whose
-subposteriors share C_r.  Weight matrices are kept dense; diagonal
-approximations for large models are out of scope.
+subposteriors share C_r.  Weights are dense (no diagonal approximation); each
+inverse and matrix root in them is ``matops.spd_inverse`` or ``matops.spectral``.
 """
 
 from __future__ import annotations
@@ -22,11 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import fold_matrix
-from .matops import _require_symmetric, positive_part, symmetrize
-
-# Relative ridge added to an estimated covariance before inversion when it is
-# numerically singular (possible after the PSD projection).
-RIDGE_RTOL = 1e-8
+from .matops import _require_symmetric, positive_part, ridged, spd_inverse, spectral, symmetrize
 
 
 def apply_weights(weights: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -58,40 +54,15 @@ def empirical_covariance(x: np.ndarray) -> np.ndarray:
     return symmetrize(np.swapaxes(centered, 1, 2) @ centered / (x.shape[0] - 1))
 
 
-def _ridged(a: np.ndarray) -> np.ndarray:
-    """Add the relative ridge to each matrix of a stack (or to one matrix)
-    whose smallest eigenvalue sits at or below it."""
-    a = symmetrize(a)
-    lam = RIDGE_RTOL * np.trace(a, axis1=-2, axis2=-1) / a.shape[-1]
-    low = (np.linalg.eigvalsh(a)[..., 0] <= lam) | (lam <= 0.0)
-    floor = np.where(lam > 0, lam, RIDGE_RTOL)[..., None, None]
-    return np.where(low[..., None, None], a + floor * np.eye(a.shape[-1]), a)
-
-
 def gaussian_product(covs) -> tuple[np.ndarray, np.ndarray]:
     """Product-of-Gaussians rule for zero-mean inputs with covariances C_k.
 
     Returns the precisions C_k^{-1}, shape (K, d, d), and the product's
-    covariance (sum_k C_k^{-1})^{-1}.  A numerically singular matrix (an
-    estimated covariance after the PSD projection can be one) gets the
-    relative ridge ``RIDGE_RTOL`` before it is inverted.
+    covariance (sum_k C_k^{-1})^{-1}, both by ``matops.spd_inverse``, so that
+    a singular estimate (possible after the PSD projection) is ridged.
     """
-    precisions = symmetrize(np.linalg.inv(_ridged(np.asarray(covs, dtype=float))))
-    combined = symmetrize(np.linalg.inv(_ridged(precisions.sum(axis=0))))
-    return precisions, combined
-
-
-def _spectral(covs: np.ndarray, f) -> np.ndarray:
-    """V f(w) V^T from the eigenpairs (w, V) of each ridged covariance of an
-    (R, d, d) stack; f maps the (R, d) eigenvalues.
-
-    Taking matrix functions from one eigendecomposition keeps them exactly
-    symmetric.  Eigenvalues are clipped at the smallest normal float, so f
-    never sees a zero.
-    """
-    w, v = np.linalg.eigh(_ridged(covs))
-    w = np.clip(w, np.finfo(float).tiny, None)
-    return (v * f(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
+    precisions = spd_inverse(covs)
+    return precisions, spd_inverse(precisions.sum(axis=0))
 
 
 def gcmc_weights_exact(covs, p_scales, n0: float, n_workers: int) -> np.ndarray:
@@ -112,7 +83,12 @@ def gcmc_weights_exact(covs, p_scales, n0: float, n_workers: int) -> np.ndarray:
         raise ValueError(f"{n_workers} workers cannot share {r} receivers evenly")
     m, p = n_workers // r, p[:, None]
     _, combined = gaussian_product(covs)
-    return combined @ _spectral(covs, lambda w: 1.0 / np.sqrt(m * w * (m * p * w + n0)))
+
+    def root(w):  # eigenvalues clipped at the smallest normal float, never 0
+        w = np.clip(w, np.finfo(float).tiny, None)
+        return 1.0 / np.sqrt(m * w * (m * p * w + n0))
+
+    return combined @ spectral(ridged(covs), root)
 
 
 def wgcmc_oma_weights_exact(covs, p_scales, n0: float) -> np.ndarray:

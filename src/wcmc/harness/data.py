@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 
 import numpy as np
-from scipy.linalg import toeplitz
 from scipy.special import ndtr
 
 from ..aggregators import gaussian_product
@@ -24,7 +23,8 @@ def toeplitz_covariance(rho: float, dim: int) -> np.ndarray:
         raise ValueError(f"rho must lie in [-1, 1], got {rho}")
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
-    return toeplitz(float(rho) ** np.arange(dim))
+    k = np.arange(dim)
+    return (float(rho) ** k)[np.abs(k[:, None] - k)]
 
 
 def gen_gaussian_scenario(

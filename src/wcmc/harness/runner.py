@@ -102,7 +102,7 @@ class World:
 
 # (reference moment, reference prediction, reference error) by reference key
 # and (worker draws,) by workers key, least recently used first.  An S = 50,
-# K = 20, d = 5 draws entry is about 48 KB.
+# K = 20, d = 5 draws entry is 40 000 bytes.
 _CHAINS: OrderedDict = OrderedDict()
 CHAIN_CACHE_BYTES = 64 * 2**20
 

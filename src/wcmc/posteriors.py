@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import erfcx, log_ndtr, ndtr, ndtri, ndtri_exp, roots_hermitenorm
 
-from .matops import EIG_RTOL, _require_symmetric, psd_factor, symmetrize
+from .matops import EIG_RTOL, _require_symmetric, psd_factor, spd_inverse, symmetrize
 from .metrics import moment_error, second_moment
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -62,11 +62,6 @@ _NEWTON_STEPS = 50
 _QUAD_RTOL = 1e-5
 _QUAD_MAX_NODES = 4096
 _QUAD_BLOCK = 64
-
-# Gibbs coefficient-step system matrix gets this relative ridge when its
-# condition number exceeds _COND_CAP.
-_RIDGE_RTOL = 1e-10
-_COND_CAP = 1e12
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +214,7 @@ def probit_log_joint_fn(covariates: np.ndarray, labels: np.ndarray, sigma2: floa
 
 def gaussian_joint_grad_fn(cov: np.ndarray):
     """Gradient callback for a known zero-mean Gaussian target: -C^{-1} theta."""
-    precision = symmetrize(np.linalg.inv(_require_symmetric(cov, "covariance")))
+    precision = spd_inverse(_require_symmetric(cov, "covariance"))
 
     def grad(thetas: np.ndarray, idx=None) -> np.ndarray:
         return -np.asarray(thetas, dtype=float) @ precision
@@ -320,6 +315,7 @@ def probit_quadrature(shard: ProbitShard) -> tuple[np.ndarray, np.ndarray, float
     """
     mode = probit_mode(shard)
     _, hess = _newton_system(shard, mode)
+    # not spd_inverse, whose symmetrize would move the reference's last bits
     scale = psd_factor(symmetrize(np.linalg.inv(hess)))
     log_joint = probit_log_joint_fn(shard.covariates, shard.labels, shard.prior_variance)
     previous = None
@@ -346,13 +342,9 @@ def probit_quadrature(shard: ProbitShard) -> tuple[np.ndarray, np.ndarray, float
 
 
 def _gibbs_coefficient_cov(shard: ProbitShard) -> np.ndarray:
-    """(sum_n u_n u_n^T + I / sigma^2)^{-1}, ridged when badly conditioned."""
+    """(sum_n u_n u_n^T + I / sigma^2)^{-1} by ``spd_inverse``, ridged when singular."""
     u = shard.covariates
-    a = u.T @ u + np.eye(shard.dim) / shard.prior_variance
-    w = np.linalg.eigvalsh(a)
-    if w[0] <= 0 or w[-1] / w[0] > _COND_CAP:
-        a = a + (_RIDGE_RTOL * np.trace(a) / shard.dim) * np.eye(shard.dim)
-    return symmetrize(np.linalg.inv(a))
+    return spd_inverse(u.T @ u + np.eye(shard.dim) / shard.prior_variance)
 
 
 def gibbs_probit_chains(

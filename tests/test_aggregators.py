@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import sqrtm
 
-from wcmc import aggregators, channel
+from wcmc import aggregators, channel, matops
 from wcmc.harness.data import toeplitz_covariance
 from wcmc.matops import positive_part, symmetrize
 from wcmc.posteriors import GaussianSubposterior
@@ -240,12 +240,12 @@ class TestWgcmcEstimated:
             aggregators.gcmc_weights(np.ones((10, 2, 3)), [1.0], 2, 0.1)
 
 
-def loop_ridged(a):
+def ridge_one(a):
     """The ridge policy on one matrix."""
     a = symmetrize(a)
-    lam = aggregators.RIDGE_RTOL * np.trace(a) / a.shape[0]
+    lam = matops.RIDGE_RTOL * np.trace(a) / a.shape[0]
     if np.linalg.eigvalsh(a)[0] <= lam or lam <= 0.0:
-        return a + (lam if lam > 0 else aggregators.RIDGE_RTOL) * np.eye(a.shape[0])
+        return a + (lam if lam > 0 else matops.RIDGE_RTOL) * np.eye(a.shape[0])
     return a
 
 
@@ -260,14 +260,18 @@ class TestStackedMatchesLoop:
             signal = aggregators.empirical_covariance(rng.standard_normal((40, r, d)))
             covs = positive_part(signal - n0 * np.eye(d))
             precisions, combined = aggregators.gaussian_product(covs)
-            loop = np.stack([symmetrize(np.linalg.inv(loop_ridged(c))) for c in covs])
+            loop = np.stack([symmetrize(np.linalg.inv(ridge_one(c))) for c in covs])
             np.testing.assert_array_equal(precisions, loop)
             np.testing.assert_array_equal(
-                combined, symmetrize(np.linalg.inv(loop_ridged(loop.sum(axis=0))))
+                combined, symmetrize(np.linalg.inv(ridge_one(loop.sum(axis=0))))
             )
-            p = rng.uniform(0.2, 2.0, size=r)
-            spectral = aggregators._spectral(covs, lambda w: 1.0 / np.sqrt(w * (p[:, None] * w + n0)))
+            # gcmc_weights_exact's map: eigenvalues clipped at the smallest normal float
+            p, tiny = rng.uniform(0.2, 2.0, size=r), np.finfo(float).tiny
+            spectral = matops.spectral(
+                matops.ridged(covs),
+                lambda w: 1.0 / np.sqrt(np.clip(w, tiny, None) * (p[:, None] * np.clip(w, tiny, None) + n0)),
+            )
             for c, pj, got in zip(covs, p, spectral):
-                w, v = np.linalg.eigh(loop_ridged(c))
-                w = np.clip(w, np.finfo(float).tiny, None)
+                w, v = np.linalg.eigh(ridge_one(c))
+                w = np.clip(w, tiny, None)
                 np.testing.assert_array_equal(got, (v * (1.0 / np.sqrt(w * (pj * w + n0)))) @ v.T)

@@ -5,6 +5,9 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1415,3 +1418,19 @@ class TestCli:
         rows_a = results.load_rows(out_a)
         rows_b = results.load_rows(out_b)
         assert rows_a[0]["err2"] != rows_b[0]["err2"]
+
+
+def test_runner_import_leaves_scipy_linalg_out():
+    # a run's set-up imports the runner; nothing on that path needs scipy.linalg
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    code = "import sys, wcmc.harness.runner; print('scipy.linalg' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

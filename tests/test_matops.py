@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from wcmc import matops
 from wcmc.harness.data import toeplitz_covariance
@@ -52,6 +53,32 @@ class TestPositivePart:
             matops.positive_part(stack)
 
 
+class TestRidgeAndInverse:
+    def test_ridge_only_on_a_singular_matrix(self):
+        a = np.diag([1.0, 3.0])
+        np.testing.assert_array_equal(matops.ridged(a), a)
+        lam = matops.RIDGE_RTOL * 0.5
+        np.testing.assert_array_equal(matops.ridged(np.diag([1.0, 0.0])), np.diag([1.0 + lam, lam]))
+        np.testing.assert_array_equal(matops.ridged(np.zeros((2, 2))), matops.RIDGE_RTOL * np.eye(2))
+
+    def test_spd_inverse_is_the_symmetrized_inverse(self):
+        rng = np.random.default_rng(9)
+        a = random_psd(rng, 4, min_eig=0.5)
+        inv = matops.spd_inverse(a)
+        np.testing.assert_array_equal(inv, inv.T)
+        np.testing.assert_allclose(inv @ a, np.eye(4), atol=1e-10)
+        assert np.isfinite(matops.spd_inverse(np.outer([1.0, 2.0], [1.0, 2.0]))).all()
+
+
+class TestSpectral:
+    def test_square_root(self):
+        rng = np.random.default_rng(10)
+        a = random_psd(rng, 3, min_eig=0.1)
+        root = matops.spectral(a, np.sqrt)
+        np.testing.assert_allclose(root, root.T, atol=1e-14)
+        np.testing.assert_allclose(root @ root, a, atol=1e-10)
+
+
 class TestToeplitzCovariance:
     def test_zero_rho_is_identity(self):
         np.testing.assert_allclose(toeplitz_covariance(0.0, 5), np.eye(5))
@@ -64,6 +91,12 @@ class TestToeplitzCovariance:
         for rho in (-0.95, -0.5, 0.3, 0.9, 0.99):
             w = np.linalg.eigvalsh(toeplitz_covariance(rho, 5))
             assert w.min() > -1e-12
+
+    def test_same_bits_as_scipy_toeplitz(self):
+        for rho in np.linspace(-1.0, 1.0, 45):
+            for dim in range(1, 13):
+                expected = scipy.linalg.toeplitz(float(rho) ** np.arange(dim))
+                np.testing.assert_array_equal(toeplitz_covariance(rho, dim), expected)
 
     def test_rho_out_of_range(self):
         with pytest.raises(ValueError):
@@ -85,3 +118,4 @@ class TestPsdFactor:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             matops.psd_factor(np.array([[1.0, 0.5], [0.0, 1.0]]))
+

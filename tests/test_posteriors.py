@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 from scipy.special import erfcx, log_ndtr, ndtr
 
-from wcmc import aggregators, metrics, posteriors
+from wcmc import aggregators, matops, metrics, posteriors
 from wcmc.matops import psd_factor
 from wcmc.harness.data import toeplitz_covariance
 
@@ -49,7 +49,7 @@ class TestGaussianGlobalCovariance:
 
     def test_singular_input_is_ridged(self):
         # diag(1, 0) gets the ridge lam = RIDGE_RTOL * trace / d before inversion.
-        lam = aggregators.RIDGE_RTOL * 0.5
+        lam = matops.RIDGE_RTOL * 0.5
         precisions, combined = aggregators.gaussian_product([np.diag([1.0, 0.0]), np.eye(2)])
         expected = np.diag([1.0 / (1.0 + lam), 1.0 / lam])
         np.testing.assert_allclose(precisions[0], expected, rtol=1e-12)
@@ -402,6 +402,23 @@ class TestGibbsProbitSampler:
         with pytest.raises(ValueError, match="burn_in must be non-negative, got -5"):
             posteriors.gibbs_probit_sampler(shard, 10, rng, burn_in=-5)
         assert rng.uniform() == np.random.default_rng(19).uniform()
+
+    def test_singular_gram_gets_the_ridge(self):
+        # a duplicated covariate column makes U^T U singular, and under the
+        # prior precision 1e-12 the system's smallest eigenvalue sits below the
+        # product rule's ridge, which spd_inverse adds
+        rng = np.random.default_rng(16)
+        u = rng.standard_normal((40, 2))
+        u = np.column_stack([u, u[:, 1]])
+        v = (rng.uniform(size=40) < ndtr(u @ [0.5, -0.3, -0.3])).astype(int)
+        shard = posteriors.ProbitShard(u, v, prior_variance=1e12)
+        system = u.T @ u + np.eye(3) / 1e12
+        assert not np.array_equal(matops.ridged(system), system)
+        cov = posteriors._gibbs_coefficient_cov(shard)
+        np.testing.assert_array_equal(cov, matops.spd_inverse(system))
+        assert np.isfinite(cov).all()
+        draws = posteriors.gibbs_probit_sampler(shard, 30, np.random.default_rng(17), burn_in=0)
+        assert np.isfinite(draws).all()
 
     def test_latent_signs_match_labels(self):
         rng = np.random.default_rng(14)

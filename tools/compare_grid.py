@@ -8,14 +8,16 @@ A refactor that moves no random stream and no rounding leaves the output
 unchanged.  One that changes how a number is computed, such as a solve in
 place of a pseudo-inverse, moves rows in their last bits while every random
 stream stays as it was, so compare such rows by their relative change.  The
-grid is 224 rows: the Gaussian toy (heterogeneous and homogeneous workers,
+grid is 252 rows: the Gaussian toy (heterogeneous and homogeneous workers,
 K = 6 / T = 600 and K = 10 / T = 2000, at 0, 10 and 20 dB) and
-probit-synthetic (N = 800, K = 4, T = 200, 100 test rows, equal and
-zeta = 0.5 partitions, at 0 and 20 dB), 2 trials each, all 7 schemes.  Each
-line gives err2, kl and computed_gradients by ``repr``; wall time is left
-out because it differs between runs.  The script calls only
-``parse_config`` and ``run_experiment``, so it runs against older
-checkouts too, and it writes nothing but stdout.
+probit-synthetic (K = 4, T = 200, 100 test rows, at 0 and 20 dB: N = 800 on
+equal and zeta = 0.5 partitions, and N = 3000 on the equal one), 2 trials
+each, all 7 schemes.  The N = 800 points' references fall back to the Gibbs
+chain; the N = 3000 points' come from the quadrature.  Each line gives err2,
+kl, computed_gradients and ref_err by ``repr``; wall time is left out because
+it differs between runs.  The script calls only ``parse_config`` and
+``run_experiment``, so it runs against older checkouts too (a row without
+ref_err prints it empty), and it writes nothing but stdout.
 """
 
 from wcmc.harness.config import parse_config
@@ -58,7 +60,12 @@ def grid():
                     "schemes": TOY_SCHEMES,
                 }
                 yield f"toy {family} K={k} T={t} snr={snr}", doc
-    for partition in ({"rule": "equal"}, {"rule": "heterogeneous", "zeta": 0.5}):
+    probit_points = (
+        (800, {"rule": "equal"}),
+        (800, {"rule": "heterogeneous", "zeta": 0.5}),
+        (3000, {"rule": "equal"}),
+    )
+    for n, partition in probit_points:
         for snr in (0.0, 20.0):
             doc = {
                 "scenario": "probit-synthetic",
@@ -68,12 +75,13 @@ def grid():
                 "trials": 2,
                 "seed": 200,
                 "partition": partition,
-                "data": {"n": 800, "n_test": 100},
+                "data": {"n": n, "n_test": 100},
                 "reference": {"n_samples": 2000, "burn_in": 50},
                 "schemes": PROBIT_SCHEMES,
             }
             zeta = partition.get("zeta", 0.0)
-            yield f"probit {partition['rule']} zeta={zeta} snr={snr}", doc
+            size = "" if n == 800 else f" n={n}"
+            yield f"probit {partition['rule']} zeta={zeta}{size} snr={snr}", doc
 
 
 def main() -> None:
@@ -82,6 +90,7 @@ def main() -> None:
             print(
                 f"{label} trial={row['trial']} {row['scheme']}: err2={row['err2']!r}"
                 f" kl={row['kl']!r} computed_gradients={row['computed_gradients']!r}"
+                f" ref_err={row.get('ref_err', '')!r}"
             )
 
 
