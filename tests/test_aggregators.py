@@ -265,13 +265,13 @@ class TestStackedMatchesLoop:
             np.testing.assert_array_equal(
                 combined, symmetrize(np.linalg.inv(ridge_one(loop.sum(axis=0))))
             )
-            # gcmc_weights_exact's map: eigenvalues clipped at the smallest normal float
-            p, tiny = rng.uniform(0.2, 2.0, size=r), np.finfo(float).tiny
-            spectral = matops.spectral(
-                matops.ridged(covs),
-                lambda w: 1.0 / np.sqrt(np.clip(w, tiny, None) * (p[:, None] * np.clip(w, tiny, None) + n0)),
-            )
+            p = rng.uniform(0.2, 2.0, size=r)
+
+            def root(w, p):  # gcmc_weights_exact's map, its eigenvalue floor included
+                w = np.clip(w, np.finfo(float).tiny, None)
+                return 1.0 / np.sqrt(w * (p * w + n0))
+
+            spectral = matops.spectral(matops.ridged(covs), lambda w: root(w, p[:, None]))
             for c, pj, got in zip(covs, p, spectral):
                 w, v = np.linalg.eigh(ridge_one(c))
-                w = np.clip(w, tiny, None)
-                np.testing.assert_array_equal(got, (v * (1.0 / np.sqrt(w * (pj * w + n0)))) @ v.T)
+                np.testing.assert_array_equal(got, (v * root(w, pj)) @ v.T)

@@ -59,7 +59,8 @@ class TestRidgeAndInverse:
         np.testing.assert_array_equal(matops.ridged(a), a)
         lam = matops.RIDGE_RTOL * 0.5
         np.testing.assert_array_equal(matops.ridged(np.diag([1.0, 0.0])), np.diag([1.0 + lam, lam]))
-        np.testing.assert_array_equal(matops.ridged(np.zeros((2, 2))), matops.RIDGE_RTOL * np.eye(2))
+        zero = np.zeros((2, 2))  # no mean eigenvalue to scale by: the ridge is RIDGE_RTOL itself
+        np.testing.assert_array_equal(matops.ridged(zero), matops.RIDGE_RTOL * np.eye(2))
 
     def test_spd_inverse_is_the_symmetrized_inverse(self):
         rng = np.random.default_rng(9)
